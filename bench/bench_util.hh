@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/lane_backend.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "common/types.hh"
@@ -80,10 +79,22 @@ finish()
  *
  * Deliberately timestamp-free: CI byte-compares back-to-back runs of
  * the fault-tolerance bench, so everything here must be stable within
- * one build on one host.  "simd" records the widest lane backend the
- * build + CPU can run (avx512|avx2|none), so perf numbers carry the
- * capability they were measured under.
+ * one build on one host.  "simd" records the widest vector extension
+ * the host CPU reports (avx512|avx2|none), so perf numbers carry the
+ * capability of the machine they were measured on.
  */
+inline const char *
+simdCapabilityString()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    if (__builtin_cpu_supports("avx512f"))
+        return "avx512";
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "none";
+}
+
 inline std::string
 jsonEnvelope()
 {

@@ -79,7 +79,7 @@ class Program
      * (FNV-1a; rule names excluded — they do not affect execution).
      * Two programs with equal hashes run identically against the
      * same stateless replica, which is what the serving layer's
-     * lane-batch former groups on.  Allocation-free: computed once
+     * batch former groups on.  Allocation-free: computed once
      * at admission on the hot path.
      */
     std::uint64_t contentHash() const;

@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "common/lane_backend.hh"
 #include "common/logging.hh"
 #include "trace/trace.hh"
 
@@ -64,9 +63,9 @@ ServeEngine::ServeEngine(const SemanticNetwork &net,
     if (cfg_.numWorkers < 1)
         snap_fatal("ServeConfig.numWorkers must be >= 1");
     if (cfg_.maxBatchLanes < 1 ||
-        cfg_.maxBatchLanes > MultiBitVector::maxLanes)
+        cfg_.maxBatchLanes > kMaxBatchLanes)
         snap_fatal("ServeConfig.maxBatchLanes must be 1..%u",
-                   MultiBitVector::maxLanes);
+                   kMaxBatchLanes);
     if (image) {
         // Adopting a deserialized image: its partition decides the
         // cluster count, not the configured default.
@@ -520,7 +519,7 @@ ServeEngine::workerMain(std::uint32_t idx)
 /**
  * The batch former's gulp: pull queued stateless requests with the
  * same program hash as batch.front(), waiting up to batchWindowMs
- * for the lanes to fill.  FIFO order is preserved both inside the
+ * for the group to fill.  FIFO order is preserved both inside the
  * batch and among the requests left behind.
  */
 void
@@ -628,10 +627,9 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
         run = machine.run(req.prog);
         accumulateRunStats(run.stats);
         if (flow_id != 0) {
-            trace::hostSpanArgs(trace::kServe, trace::tidWorker(idx),
-                                "attempt", attempt_ns,
-                                trace::hostNowNs(), attempts,
-                                laneOps().name);
+            trace::hostSpanArg(trace::kServe, trace::tidWorker(idx),
+                               "attempt", attempt_ns,
+                               trace::hostNowNs(), attempts);
         }
         if (run.fault.ok())
             break;
@@ -687,11 +685,11 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
 }
 
 /**
- * Serve a gulped group as one lane-batched run.  Every member is
- * stateless and same-program by construction (gatherBatch matched on
- * progHash over batchable == stateless entries), so one run over
- * cleared markers is each lane's solo run — per-request results and
- * wallTicks are bit-identical to the unbatched path.
+ * Serve a gulped group from one run.  Every member is stateless and
+ * same-program by construction (gatherBatch matched on progHash over
+ * batchable == stateless entries), so one run over cleared markers
+ * is each member's solo run; its results and wallTicks are fanned
+ * out, bit-identical to the unbatched path.
  */
 void
 ServeEngine::serveBatch(std::uint32_t idx,
@@ -745,22 +743,20 @@ ServeEngine::serveBatch(std::uint32_t idx,
                              flow_id, attempt_ns);
         trace::armFlow(flow_id);
     }
-    BatchRunResult run =
-        machine.runBatch(batch.front()->req.prog, lanes);
+    RunResult run = machine.run(batch.front()->req.prog);
     if (flow_id != 0) {
-        // Lane width + backend name: the trace attributes this
-        // span's sim amortization to the kernel that produced it.
-        trace::hostSpanArgs(trace::kServe, trace::tidWorker(idx),
-                            "batch.attempt", attempt_ns,
-                            trace::hostNowNs(), lanes,
-                            laneOps().name);
+        // Group size: the trace attributes this span's sim
+        // amortization to the members it answered.
+        trace::hostSpanArg(trace::kServe, trace::tidWorker(idx),
+                           "batch.attempt", attempt_ns,
+                           trace::hostNowNs(), lanes);
     }
 
     if (!run.fault.ok()) {
-        // The shared traversal is poisoned, so no lane's answer is
-        // trustworthy.  Evict the batch and re-serve every lane solo;
-        // each gets its own retry budget, and lanes unaffected by the
-        // re-drawn fault stream commit normally.
+        // The shared run is poisoned, so no member's answer is
+        // trustworthy.  Evict the group and re-serve every member
+        // solo; each gets its own retry budget, and members
+        // unaffected by the re-drawn fault stream commit normally.
         noteReplicaFault(idx, run.fault);
         metrics_.noteBatchFallback();
         if (SNAP_TRACE_ON(trace::kServe)) {

@@ -25,14 +25,15 @@
  *  - every request carries a deterministic seed (requestSeed) echoed
  *    in its response.
  *
- * Lane batching (ServeConfig::maxBatchLanes > 1): a worker that pops
- * a stateless request gulps queued stateless requests with the same
- * Program::contentHash (waiting up to batchWindowMs for more) and
- * serves the whole group as one lane-batched traversal.  Because the
- * lanes are same-program over cleared state, each one's results and
- * simulated wallTicks are bit-identical to its solo run — batching
- * changes host cost only, never answers.  Stragglers that find no
- * partner fall back to the solo path.
+ * Coalescing (ServeConfig::maxBatchLanes > 1): a worker that pops a
+ * stateless request gulps queued stateless requests with the same
+ * Program::contentHash (waiting up to batchWindowMs for more), runs
+ * the program once over cleared markers, and hands every member of
+ * the group that one answer.  Same program over identical cleared
+ * state is the same run, so each member's results and simulated
+ * wallTicks are bit-identical to its solo run — coalescing is result
+ * reuse and changes host cost only, never answers.  Stragglers that
+ * find no partner fall back to the solo path.
  *
  * Non-goals in this layer: running programs with structural KB edits
  * (CREATE/DELETE) outside a session is undefined — edits would make
@@ -79,13 +80,12 @@ struct ServeConfig
     /** Default queue-wait deadline (host ms); 0 = none. */
     double defaultTimeoutMs = 0.0;
     /**
-     * Lane-batch former: a worker that pops a stateless request may
-     * gulp up to this many queued stateless requests with the same
-     * Program::contentHash and serve them as one lane-batched
-     * traversal (SnapMachine::runBatch) — identical per-request
-     * results and simulated wallTicks, one simulated run's host cost.
-     * 1 disables batching; capped at MultiBitVector::maxLanes
-     * (2048 — the lane planes carry ceil(lanes/64) words per node).
+     * Batch former: a worker that pops a stateless request may gulp
+     * up to this many queued stateless requests with the same
+     * Program::contentHash and answer them all from one
+     * SnapMachine::run — identical per-request results and simulated
+     * wallTicks, one simulated run's host cost.  1 disables
+     * coalescing; capped at kMaxBatchLanes (2048).
      */
     std::uint32_t maxBatchLanes = 1;
     /**

@@ -68,9 +68,9 @@ MetricsSnapshot::exportMetrics(MetricsRegistry &reg,
     cnt("snap_serve_timed_out_total", timedOut,
         "Requests expired before service");
     cnt("snap_serve_batches_total", batches,
-        "Lane batches served (>= 2 lanes)");
+        "Coalesced groups served (>= 2 requests)");
     cnt("snap_serve_batched_requests_total", batchedRequests,
-        "Requests served inside lane batches");
+        "Requests served inside coalesced groups");
     cnt("snap_serve_faults_detected_total", faultsDetected,
         "Run attempts that tripped fault detection");
     cnt("snap_serve_wedges_total", wedges,
@@ -88,7 +88,7 @@ MetricsSnapshot::exportMetrics(MetricsRegistry &reg,
     cnt("snap_serve_quarantines_total", quarantines,
         "Replica quarantines (re-stamped from master)");
     cnt("snap_serve_batch_fallbacks_total", batchFallbacks,
-        "Lane batches evicted to solo re-serves");
+        "Coalesced groups evicted to solo re-serves");
     cnt("snap_serve_image_swaps_total", imageSwaps,
         "Knowledge-image hot-swaps applied (epoch flips)");
 
@@ -117,7 +117,7 @@ MetricsSnapshot::exportMetrics(MetricsRegistry &reg,
     histMetrics(reg, "snap_serve_sim_us", simUs,
                 "Simulated execution time (us)", labels);
     histMetrics(reg, "snap_serve_batch_lanes", batchLanes,
-                "Lanes filled per lane batch", labels);
+                "Requests per coalesced group", labels);
 
     for (std::size_t i = 0; i < workers.size(); ++i) {
         MetricsRegistry::Labels wl = labels;

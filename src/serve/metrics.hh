@@ -25,7 +25,6 @@
 
 #include "common/histogram.hh"
 #include "common/metrics_registry.hh"
-#include "common/multibitvector.hh"
 #include "common/types.hh"
 
 namespace snap
@@ -34,13 +33,21 @@ namespace serve
 {
 
 /**
- * Lane-occupancy distribution: one exact bucket per possible lane
- * count.  The log-linear Histogram buckets coarsen to 8..128 lanes
- * wide above 64, which silently blurred wide batches (and reported
- * bucket-midpoint "lane counts" no batch could have); lane counts
- * are small integers, so exact buckets cost one word each.
+ * Upper bound on ServeConfig::maxBatchLanes: the most same-program
+ * stateless requests one coalesced run may answer.  The single source
+ * for the engine's config validation, the tools' --batch-lanes checks
+ * and the occupancy histogram's bucket count.
  */
-using BatchLanesHistogram = LinearHistogram<MultiBitVector::maxLanes>;
+constexpr std::uint32_t kMaxBatchLanes = 2048;
+
+/**
+ * Coalesced-group occupancy distribution: one exact bucket per
+ * possible group size.  The log-linear Histogram buckets coarsen to
+ * 8..128 wide above 64, which blurred wide groups (and reported
+ * bucket-midpoint sizes no group could have); group sizes are small
+ * integers, so exact buckets cost one word each.
+ */
+using BatchLanesHistogram = LinearHistogram<kMaxBatchLanes>;
 
 /** Per-worker serving tallies. */
 struct WorkerStats
@@ -60,7 +67,8 @@ struct MetricsSnapshot
     std::uint64_t rejected = 0;
     std::uint64_t timedOut = 0;
 
-    /** Lane batches served (>= 2 lanes; solo runs are not batches). */
+    /** Coalesced groups served (>= 2 requests; solo runs are not
+     *  batches). */
     std::uint64_t batches = 0;
     /** Requests that were served inside those batches. */
     std::uint64_t batchedRequests = 0;
@@ -84,7 +92,8 @@ struct MetricsSnapshot
     std::uint64_t shed = 0;
     /** Replica quarantines (re-stamped from the master image). */
     std::uint64_t quarantines = 0;
-    /** Lane batches evicted to solo re-serves after a poisoned run. */
+    /** Coalesced groups evicted to solo re-serves after a poisoned
+     *  run. */
     std::uint64_t batchFallbacks = 0;
     /** Knowledge-image hot-swaps applied (epoch flips). */
     std::uint64_t imageSwaps = 0;
@@ -100,8 +109,8 @@ struct MetricsSnapshot
     Histogram serviceMs;
     Histogram totalMs;
     Histogram simUs;
-    /** Occupancy (lanes filled) per lane batch — exact buckets so
-     *  wide batches (65..2048 lanes) are not blurred. */
+    /** Members per coalesced group — exact buckets so wide groups
+     *  (65..2048 members) are not blurred. */
     BatchLanesHistogram batchLanes;
 
     std::vector<WorkerStats> workers;
@@ -177,12 +186,12 @@ class ServeMetrics
     }
 
     /**
-     * Completion of one request served inside a lane batch.  The
-     * request-facing histograms record the full batch cost (that is
-     * what the request experienced); the worker's busy tallies take
-     * only this request's *share*, so utilization and the simulated
-     * makespan reflect the amortization instead of double-counting
-     * the shared run once per lane.
+     * Completion of one request served inside a coalesced group.
+     * The request-facing histograms record the full group cost (that
+     * is what the request experienced); the worker's busy tallies
+     * take only this request's *share*, so utilization and the
+     * simulated makespan reflect the amortization instead of
+     * double-counting the shared run once per member.
      */
     void
     noteCompletedShared(std::uint32_t worker, double queue_ms,
@@ -201,7 +210,7 @@ class ServeMetrics
         w.busyMs += busy_share_ms;
     }
 
-    /** One lane batch was formed and served with @p lanes lanes. */
+    /** One coalesced group of @p lanes requests was served. */
     void
     noteBatch(std::uint32_t lanes)
     {
@@ -270,7 +279,8 @@ class ServeMetrics
         ++quarantines_;
     }
 
-    /** Lane batch evicted to solo re-serves after a poisoned run. */
+    /** Coalesced group evicted to solo re-serves after a poisoned
+     *  run. */
     void
     noteBatchFallback()
     {

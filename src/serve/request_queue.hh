@@ -15,7 +15,7 @@
  * engine's alloc-free submit depends on.  T must therefore be
  * default-constructible and move-assignable.
  *
- * extractMatching() is the lane-batch former's gulp primitive: it
+ * extractMatching() is the batch former's gulp primitive: it
  * removes up to N items satisfying a predicate, preserving FIFO
  * order both among the extracted items and among the survivors, and
  * optionally waits until a deadline for more matches to arrive.

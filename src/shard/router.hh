@@ -4,7 +4,7 @@
  *
  * Placement: stateless requests hash Program::contentHash onto the
  * ring — identical queries always land on the same shard, which keeps
- * that shard's lane-batch former fed; session requests hash the
+ * that shard's batch former fed; session requests hash the
  * session id, so a session's marker state accumulates on exactly one
  * shard.  Each shard connection has a bounded in-flight window;
  * submit() blocks (backpressure) when the target window is full.

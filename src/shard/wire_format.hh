@@ -186,6 +186,22 @@ class WireReader
         return s;
     }
 
+    /**
+     * Element count of a following array whose entries each take at
+     * least @p min_elem_bytes on the wire.  A count the rest of the
+     * frame cannot hold fails the reader and reads as 0, so callers
+     * may reserve() the result without a bound of their own: a
+     * corrupted count never becomes an unbounded allocation.
+     */
+    std::uint32_t
+    count(std::size_t min_elem_bytes)
+    {
+        const std::uint32_t n = u32();
+        if (failed_ || n > remaining() / min_elem_bytes + 1)
+            return fail8();
+        return n;
+    }
+
     /** True once any read ran past the buffer (sticky). */
     bool failed() const { return failed_; }
     /** Decode success: no overrun AND the frame was fully consumed. */

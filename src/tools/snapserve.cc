@@ -9,14 +9,11 @@
  *     --threads N           host threads per worker machine
  *     --queue N             admission queue capacity (default 256)
  *     --timeout-ms X        default per-request queue deadline
- *     --batch-lanes N       lane-batch up to N same-program stateless
- *                           queries per simulated run (1..2048,
+ *     --batch-lanes N       coalesce up to N same-program stateless
+ *                           queries into one simulated run whose
+ *                           answer each of them gets (1..2048,
  *                           default 1)
  *     --batch-window X      host ms to wait filling a batch
- *     --lane-backend B      lane-kernel backend: auto (default,
- *                           widest compiled + CPU-supported), scalar,
- *                           avx2, avx512.  A backend this build or
- *                           CPU lacks is a usage error (exit 2)
  *     --clusters N          replica array size (1..32, default 16)
  *     --partition seq|rr|sem  allocation strategy (default sem)
  *     --relax-capacity      lift the 1024-nodes-per-cluster limit
@@ -91,10 +88,8 @@
 #include <vector>
 
 #include "arch/kb_image_io.hh"
-#include "common/lane_backend.hh"
 #include "common/logging.hh"
 #include "common/metrics_registry.hh"
-#include "common/multibitvector.hh"
 #include "common/strutil.hh"
 #include "fault/fault_plan.hh"
 #include "trace/trace.hh"
@@ -125,11 +120,9 @@ usage()
         "  --queue N              admission queue capacity "
         "(default 256)\n"
         "  --timeout-ms X         default queue deadline, host ms\n"
-        "  --batch-lanes N        lane-batch same-program queries "
+        "  --batch-lanes N        coalesce same-program queries "
         "(1..2048)\n"
         "  --batch-window X       host ms to wait filling a batch\n"
-        "  --lane-backend B       auto|scalar|avx2|avx512 "
-        "(default auto)\n"
         "  --clusters N           replica array size (1..32)\n"
         "  --partition seq|rr|sem allocation (default sem)\n"
         "  --relax-capacity       lift the 1024 nodes/cluster cap\n"
@@ -282,17 +275,11 @@ main(int argc, char **argv)
         } else if (arg == "--batch-lanes") {
             long long n;
             if (!parseInt(next(), n) || n < 1 ||
-                n > MultiBitVector::maxLanes)
-                usageError("--batch-lanes must be 1..2048");
+                n > serve::kMaxBatchLanes)
+                usageError(formatString("--batch-lanes must be 1..%u",
+                                        serve::kMaxBatchLanes)
+                               .c_str());
             cfg.maxBatchLanes = static_cast<std::uint32_t>(n);
-        } else if (arg == "--lane-backend") {
-            LaneBackend backend;
-            if (!parseLaneBackend(next(), backend))
-                usageError("--lane-backend must be "
-                           "auto|scalar|avx2|avx512");
-            std::string err;
-            if (!setLaneBackend(backend, err))
-                usageError(err.c_str());
         } else if (arg == "--batch-window") {
             double x;
             if (!parseDouble(next(), x) || x < 0)
@@ -651,8 +638,8 @@ main(int argc, char **argv)
                 m.throughputQps(),
                 ticksToUs(m.simMakespanTicks()));
     if (m.batches > 0) {
-        std::printf("lane batches: %llu served %llu requests "
-                    "(mean %.2f lanes)\n",
+        std::printf("coalesced groups: %llu served %llu requests "
+                    "(mean %.2f per group)\n",
                     static_cast<unsigned long long>(m.batches),
                     static_cast<unsigned long long>(
                         m.batchedRequests),

@@ -7,8 +7,7 @@
  * final marker state, simulated wall time, and the full statistics
  * breakdown — because cfg.hostThreads is a host-performance knob
  * with zero simulated-behaviour surface.  The same holds through
- * runBatch and through fault-injecting runs (same injections, same
- * detection outcomes).
+ * fault-injecting runs (same injections, same detection outcomes).
  */
 
 #include <gtest/gtest.h>
@@ -214,33 +213,6 @@ TEST(ParallelExactTest, BackToBackRunsStayExact)
     test::expectSameResults(a2.results, b2.results);
     expectSameBreakdown(a1.stats, b1.stats);
     expectSameBreakdown(a2.stats, b2.stats);
-}
-
-/** Lane-batched execution under threads: per-lane answers identical
- *  to the solo run at every thread count. */
-TEST(ParallelExactTest, BatchedSoloParallelAgree)
-{
-    Workload w = makeExerciser(4, 5);
-    for (std::uint32_t threads : {1u, 4u}) {
-        MachineConfig cfg;
-        cfg.numClusters = 16;
-        cfg.partition = PartitionStrategy::RoundRobin;
-        cfg.maxNodesPerCluster = capacity::maxNodes;
-        cfg.hostThreads = threads;
-        SnapMachine solo(cfg);
-        solo.loadKb(w.net);
-        RunResult sr = solo.run(w.prog);
-
-        SnapMachine batcher(cfg);
-        batcher.loadKb(w.net);
-        BatchRunResult br = batcher.runBatch(w.prog, 8);
-
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        EXPECT_EQ(br.lanes, 8u);
-        EXPECT_EQ(br.wallTicks, sr.wallTicks);
-        test::expectSameResults(sr.results, br.results);
-        expectSameBreakdown(sr.stats, br.stats);
-    }
 }
 
 /** Fault-injecting runs shard exactly too: the same faults fire at

@@ -665,7 +665,7 @@ TEST(BoundedQueue, ConcurrentExtractPushCloseAccountsForEveryItem)
            "extract/pop race";
 }
 
-// --- lane batching ------------------------------------------------------
+// --- coalescing ---------------------------------------------------------
 
 TEST(ServeEngine, BatchedAnswersMatchSoloBitForBit)
 {
@@ -709,11 +709,10 @@ TEST(ServeEngine, BatchedAnswersMatchSoloBitForBit)
 
 TEST(ServeEngine, WideBatchCrossesLaneWordSeam)
 {
-    // 96 lanes: two row words with a 32-lane tail — the serve path's
-    // first stop past the old single-word (64-lane) ceiling.  Also
-    // pins the exact batch_lanes histogram: the log-linear histogram
-    // it replaced had 8-wide buckets at 96 and would misreport the
-    // quantiles.
+    // A 96-member group, past the 64 where the log-linear
+    // histogram's buckets widen.  Pins the exact batch_lanes
+    // histogram: the log-linear one had 8-wide buckets at 96 and
+    // would misreport the quantiles.
     SemanticNetwork net = makeTreeKb(300, 4);
     RelationType inc = net.relationId("includes");
     Program prog = countQuery(0, inc, 0.0f);
@@ -799,6 +798,58 @@ TEST(ServeEngine, BatchFormerGroupsByProgramHash)
     serve::MetricsSnapshot m = engine.metricsSnapshot();
     EXPECT_EQ(m.batches, 2u);
     EXPECT_EQ(m.batchedRequests, 10u);
+}
+
+TEST(ServeEngine, PoisonedCoalescedRunNeverDeliversAWrongAnswer)
+{
+    SemanticNetwork net = makeTreeKb(300, 4);
+    RelationType inc = net.relationId("includes");
+    Program prog = countQuery(0, inc, 0.0f);
+
+    // Fault-free solo reference.
+    MachineConfig mcfg = smallEngineConfig(1).machine;
+    SnapMachine direct(mcfg);
+    direct.loadKb(net);
+    RunResult ref = direct.run(prog);
+
+    // One worker and a fixed fault seed make the whole run
+    // deterministic: at 1% message faults the group's shared run
+    // trips detection, so the group is evicted to solo re-serves.
+    ServeConfig cfg = smallEngineConfig(1);
+    cfg.startPaused = true;
+    cfg.maxBatchLanes = 8;
+    cfg.maxRetries = 30;
+    cfg.faults = FaultSpec::messageFaults(2, 0.01);
+    ServeEngine engine(net, cfg);
+
+    std::vector<std::future<Response>> futures;
+    for (int i = 0; i < 8; ++i) {
+        Request req;
+        req.prog = prog;
+        futures.push_back(engine.submit(std::move(req)));
+    }
+    engine.start();
+    std::uint64_t ok = 0;
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        Response resp = futures[i].get();
+        ASSERT_TRUE(resp.status == RequestStatus::Ok ||
+                    resp.status == RequestStatus::Failed)
+            << "member " << i << ": "
+            << serve::requestStatusName(resp.status);
+        if (resp.status == RequestStatus::Ok) {
+            ++ok;
+            EXPECT_EQ(resp.wallTicks, ref.wallTicks) << "member " << i;
+            test::expectSameResults(resp.results, ref.results);
+        } else {
+            EXPECT_TRUE(resp.results.empty())
+                << "a Failed member must never carry results";
+        }
+    }
+    EXPECT_GT(ok, 0u) << "per-member retries should recover someone";
+
+    serve::MetricsSnapshot m = engine.metricsSnapshot();
+    EXPECT_GE(m.batchFallbacks, 1u);
+    EXPECT_EQ(m.completed + m.failed, 8u);
 }
 
 TEST(ServeEngine, StragglerFallsBackToSoloPath)
