@@ -151,18 +151,70 @@ KbImage::flatten() const
     MarkerStore flat(part_.numNodes());
     for (const auto &ckb : clusters_) {
         const MarkerStore &ms = ckb->markers();
-        for (LocalNodeId l = 0; l < ckb->numLocalNodes(); ++l) {
-            NodeId g = ckb->globalId(l);
-            for (std::uint32_t m = 0; m < capacity::numMarkers; ++m) {
-                auto mid = static_cast<MarkerId>(m);
-                if (ms.test(mid, l)) {
-                    flat.set(mid, g, ms.value(mid, l),
-                             ms.origin(mid, l));
-                }
-            }
+        for (std::uint32_t m = 0; m < capacity::numMarkers; ++m) {
+            auto mid = static_cast<MarkerId>(m);
+            ms.bits(mid).forEachSet([&](std::uint32_t l) {
+                flat.set(mid, ckb->globalId(l), ms.value(mid, l),
+                         ms.origin(mid, l));
+            });
         }
     }
     return flat;
+}
+
+SparseMarkers
+KbImage::captureMarkers() const
+{
+    SparseMarkers out(part_.numNodes());
+    // The plane's set entries in global-id order: the cluster tables
+    // are gathered into one global bit row, then walked ascending.
+    BitVector row(part_.numNodes());
+    for (std::uint32_t m = 0; m < capacity::numMarkers; ++m) {
+        auto mid = static_cast<MarkerId>(m);
+        bool any = false;
+        for (const auto &ckb : clusters_) {
+            ckb->markers().bits(mid).forEachSet([&](std::uint32_t l) {
+                row.set(ckb->globalId(l));
+                any = true;
+            });
+        }
+        if (!any)
+            continue;
+        SparseMarkers::Plane &plane = out.addPlane(mid);
+        const bool complex = isComplexMarker(mid);
+        row.forEachSet([&](std::uint32_t g) {
+            plane.nodes.push_back(g);
+            if (complex) {
+                Placement p = part_.place(g);
+                const MarkerStore &ms = clusters_[p.cluster]->markers();
+                plane.values.push_back(
+                    {ms.value(mid, p.local), ms.origin(mid, p.local)});
+            }
+        });
+        row.clearAll();
+    }
+    return out;
+}
+
+void
+KbImage::installMarkers(const SparseMarkers &state)
+{
+    snap_assert(state.numNodes() == numNodes(),
+                "installMarkers over %u nodes onto a %u-node image",
+                state.numNodes(), numNodes());
+    resetMarkers();
+    for (const SparseMarkers::Plane &plane : state.planes()) {
+        for (std::size_t k = 0; k < plane.nodes.size(); ++k) {
+            Placement p = place(plane.nodes[k]);
+            MarkerStore &ms = clusters_[p.cluster]->markers();
+            if (plane.values.empty()) {
+                ms.setBit(plane.marker, p.local);
+            } else {
+                ms.set(plane.marker, p.local, plane.values[k].value,
+                       plane.values[k].origin);
+            }
+        }
+    }
 }
 
 void

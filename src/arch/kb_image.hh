@@ -25,6 +25,7 @@
 #include "kb/partition.hh"
 #include "kb/semantic_network.hh"
 #include "runtime/marker_store.hh"
+#include "runtime/sparse_markers.hh"
 
 namespace snap
 {
@@ -182,6 +183,17 @@ class KbImage
     /** Flatten machine marker state into one MarkerStore over global
      *  node ids (for equivalence checks against the golden model). */
     MarkerStore flatten() const;
+
+    /** Capture the set marker entries straight from the per-cluster
+     *  tables (session turns, replication).  Walks set status bits
+     *  word by word: cost scales with what is set, not with nodes x
+     *  planes. */
+    SparseMarkers captureMarkers() const;
+
+    /** Install sparse state @p state into the distributed tables,
+     *  replacing all marker state; the node count must match.  The
+     *  sparse counterpart of restoreMarkers(). */
+    void installMarkers(const SparseMarkers &state);
 
     /** Checkpoint the distributed marker tables (global node ids;
      *  restorable under any partitioning). */

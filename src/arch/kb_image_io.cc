@@ -428,8 +428,8 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
     Cursor table(bytes.data() + kHeaderBytes,
                  table_end - kHeaderBytes);
     for (std::uint32_t i = 0; i < nsect; ++i) {
-        std::uint32_t id, rsvd;
-        std::uint64_t off, size, sum;
+        std::uint32_t id = 0, rsvd = 0;
+        std::uint64_t off = 0, size = 0, sum = 0;
         table.u32(id);
         table.u32(rsvd);
         table.u64(off);

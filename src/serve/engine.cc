@@ -601,8 +601,8 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
     std::uint32_t attempts = 0;
     for (;;) {
         if (sessioned) {
-            machine.image().restoreMarkers(
-                sessions_.fetch(req.sessionId));
+            machine.image().installMarkers(
+                *sessions_.fetch(req.sessionId));
         } else {
             // Fresh-query state: the determinism anchor for stateless
             // requests (identical replicas + cleared markers => the
@@ -651,6 +651,16 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
                     static_cast<double>(1u << shift)));
         }
     }
+    // Pass the session turn on inside the service window: the
+    // post-run capture is part of the turn's work.
+    if (sessioned) {
+        if (run.fault.ok()) {
+            sessions_.complete(req.sessionId, p->sessionSeq,
+                               machine.image().captureMarkers());
+        } else {
+            sessions_.cancel(req.sessionId, p->sessionSeq);
+        }
+    }
     Clock::time_point end = Clock::now();
     resp.serviceMs = msBetween(begin, end);
     resp.retries = attempts;
@@ -658,8 +668,6 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
     if (!run.fault.ok()) {
         // Retry budget exhausted; the answer is untrustworthy and is
         // withheld.  A typed failure, never a silently wrong result.
-        if (sessioned)
-            sessions_.cancel(req.sessionId, p->sessionSeq);
         resp.status = RequestStatus::Failed;
         resp.faultDetected = true;
         metrics_.noteFailed(queue_ms);
@@ -668,10 +676,6 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
     }
 
     noteReplicaOk(idx);
-    if (sessioned) {
-        sessions_.complete(req.sessionId, p->sessionSeq,
-                           machine.image().flatten());
-    }
 
     resp.status = RequestStatus::Ok;
     resp.results = std::move(run.results);
@@ -978,7 +982,7 @@ ServeEngine::metricsSnapshot() const
 MarkerStore
 ServeEngine::sessionMarkers(const std::string &id) const
 {
-    return sessions_.fetch(id);
+    return sessions_.fetch(id)->toDense();
 }
 
 std::vector<std::string>
@@ -987,15 +991,14 @@ ServeEngine::sessionIds() const
     return sessions_.sessionIds();
 }
 
-bool
-ServeEngine::trySessionMarkers(const std::string &id,
-                               MarkerStore &out) const
+SessionStore::Snapshot
+ServeEngine::sessionState(const std::string &id) const
 {
-    return sessions_.tryFetch(id, out);
+    return sessions_.tryFetch(id);
 }
 
 bool
-ServeEngine::restoreSession(const std::string &id, MarkerStore state,
+ServeEngine::restoreSession(const std::string &id, SparseMarkers state,
                             std::string &err)
 {
     if (state.numNodes() != master_->numNodes()) {

@@ -253,19 +253,19 @@ class ServeEngine
      */
     void exportMetrics(MetricsRegistry &reg) const;
 
-    /** Marker state of session @p id (checkpoint via
-     *  runtime/snapshot's saveMarkers). */
+    /** Marker state of session @p id as a dense store (checkpoint
+     *  via runtime/snapshot's saveMarkers). */
     MarkerStore sessionMarkers(const std::string &id) const;
     std::vector<std::string> sessionIds() const;
 
-    /** Non-asserting checkpoint pull: false when the session does
-     *  not exist on this engine. */
-    bool trySessionMarkers(const std::string &id, MarkerStore &out) const;
+    /** Non-asserting checkpoint pull of the stored sparse state:
+     *  null when the session does not exist on this engine. */
+    SessionStore::Snapshot sessionState(const std::string &id) const;
 
     /** Restore (create-or-overwrite) session @p id from a
      *  checkpoint.  Rejects a node-count mismatch with @p err set
      *  (typed: the checkpoint crossed a trust boundary). */
-    bool restoreSession(const std::string &id, MarkerStore state,
+    bool restoreSession(const std::string &id, SparseMarkers state,
                         std::string &err);
 
     const KbImage &sharedImage() const { return *master_; }

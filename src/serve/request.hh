@@ -154,16 +154,17 @@ class ResponseSlot
         ready_ = false;
     }
 
-    /** Publish the response and wake the waiter. */
+    /** Publish the response and wake the waiter.  Notifies under
+     *  the lock: the waiter may own the slot on its stack and destroy
+     *  it as soon as wait() returns, which it cannot do before this
+     *  call releases mu_. */
     void
     deliver(Response &&resp)
     {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            snap_assert(!ready_, "ResponseSlot delivered twice");
-            resp_ = std::move(resp);
-            ready_ = true;
-        }
+        std::lock_guard<std::mutex> lock(mu_);
+        snap_assert(!ready_, "ResponseSlot delivered twice");
+        resp_ = std::move(resp);
+        ready_ = true;
         cv_.notify_all();
     }
 

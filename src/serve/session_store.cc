@@ -1,5 +1,7 @@
 #include "serve/session_store.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace snap
@@ -12,7 +14,7 @@ SessionStore::stateOf(const std::string &id)
 {
     auto it = sessions_.find(id);
     if (it == sessions_.end())
-        it = sessions_.emplace(id, State(numNodes_)).first;
+        it = sessions_.emplace(id, State(empty_)).first;
     return it->second;
 }
 
@@ -35,35 +37,33 @@ SessionStore::awaitTurn(const std::string &id, std::uint64_t seq)
                 static_cast<unsigned long long>(s.doneSeq));
 }
 
-MarkerStore
+SessionStore::Snapshot
 SessionStore::fetch(const std::string &id) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(id);
-    snap_assert(it != sessions_.end(), "fetch of unknown session");
-    return it->second.markers;
+    Snapshot snap = tryFetch(id);
+    snap_assert(snap != nullptr, "fetch of unknown session");
+    return snap;
 }
 
-bool
-SessionStore::tryFetch(const std::string &id, MarkerStore &out) const
+SessionStore::Snapshot
+SessionStore::tryFetch(const std::string &id) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(id);
-    if (it == sessions_.end())
-        return false;
-    out = it->second.markers;
-    return true;
+    return it == sessions_.end() ? nullptr : it->second.markers;
 }
 
 void
-SessionStore::restore(const std::string &id, MarkerStore state)
+SessionStore::restore(const std::string &id, SparseMarkers state)
 {
     snap_assert(state.numNodes() == numNodes_,
                 "session restore with %u nodes into a %u-node store",
                 state.numNodes(), numNodes_);
+    auto next = std::make_shared<const SparseMarkers>(std::move(state));
+    Snapshot old; // the replaced state is freed outside the lock
     {
         std::lock_guard<std::mutex> lock(mu_);
-        stateOf(id).markers = std::move(state);
+        old = std::exchange(stateOf(id).markers, std::move(next));
     }
     turn_.notify_all();
 }
@@ -82,13 +82,18 @@ SessionStore::skipCancelled(State &s)
 
 void
 SessionStore::complete(const std::string &id, std::uint64_t seq,
-                       MarkerStore state)
+                       SparseMarkers state)
 {
+    snap_assert(state.numNodes() == numNodes_,
+                "session publish with %u nodes into a %u-node store",
+                state.numNodes(), numNodes_);
+    auto next = std::make_shared<const SparseMarkers>(std::move(state));
+    Snapshot old; // the replaced state is freed outside the lock
     {
         std::lock_guard<std::mutex> lock(mu_);
         State &s = stateOf(id);
         snap_assert(s.doneSeq == seq, "completion out of turn");
-        s.markers = std::move(state);
+        old = std::exchange(s.markers, std::move(next));
         s.doneSeq = seq + 1;
         skipCancelled(s);
     }

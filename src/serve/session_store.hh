@@ -5,10 +5,14 @@
  * A session is a sequence of queries sharing marker state — the
  * serving analogue of the applications that "issue multiple programs
  * against persistent marker state" (the parser's per-sentence
- * programs, host-driven resolution loops).  State is kept in the
- * runtime/snapshot layer's currency: a flat MarkerStore over global
- * node ids, so a session is partition-independent and can be served
- * by any replica (and checkpointed to disk with saveMarkers()).
+ * programs, host-driven resolution loops).  State is kept sparse and
+ * partition-independent: a SparseMarkers over global node ids (only
+ * the set entries), so a session costs what it holds, can be served
+ * by any replica, and converts to a MarkerStore at the checkpoint
+ * edge (saveMarkers()).  Each published state is an immutable
+ * snapshot behind a shared pointer: the turn holder and the
+ * replication pull read it without copying, and the store mutex is
+ * held only to swap pointers.
  *
  * Ordering protocol: submitters call admit() (under the engine's
  * admission lock) to draw a per-session sequence number; the worker
@@ -24,12 +28,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "runtime/marker_store.hh"
+#include "runtime/sparse_markers.hh"
 
 namespace snap
 {
@@ -39,10 +44,14 @@ namespace serve
 class SessionStore
 {
   public:
-    /** @p num_nodes sizes each new session's marker state (must
-     *  match the served knowledge base). */
+    /** An immutable published session state. */
+    using Snapshot = std::shared_ptr<const SparseMarkers>;
+
+    /** @p num_nodes sizes each session's marker state (must match
+     *  the served knowledge base). */
     explicit SessionStore(std::uint32_t num_nodes)
-        : numNodes_(num_nodes)
+        : numNodes_(num_nodes),
+          empty_(std::make_shared<const SparseMarkers>(num_nodes))
     {}
 
     /** Draw the next sequence number of session @p id (creating the
@@ -54,25 +63,25 @@ class SessionStore
      *  cancelled. */
     void awaitTurn(const std::string &id, std::uint64_t seq);
 
-    /** Copy out the session's current marker state.  Only valid for
-     *  the holder of the current turn. */
-    MarkerStore fetch(const std::string &id) const;
+    /** The session's current marker state.  Asserts the session
+     *  exists. */
+    Snapshot fetch(const std::string &id) const;
 
-    /** Non-asserting fetch: false when the session does not exist.
+    /** Non-asserting fetch: null when the session does not exist.
      *  Used by the migration pull path, where "no such session yet"
      *  is a normal answer, not a protocol error. */
-    bool tryFetch(const std::string &id, MarkerStore &out) const;
+    Snapshot tryFetch(const std::string &id) const;
 
     /** Create-or-overwrite a session's marker state from a
      *  checkpoint (drain migration / warm-backup replication onto
      *  this replica).  Turn bookkeeping is preserved for an existing
      *  session and starts fresh for a new one. */
-    void restore(const std::string &id, MarkerStore state);
+    void restore(const std::string &id, SparseMarkers state);
 
     /** Publish the post-run state of turn @p seq and pass the turn
      *  on. */
     void complete(const std::string &id, std::uint64_t seq,
-                  MarkerStore state);
+                  SparseMarkers state);
 
     /** Give up turn @p seq without running (admission reject or
      *  queue-wait timeout); state is unchanged. */
@@ -86,14 +95,13 @@ class SessionStore
   private:
     struct State
     {
-        explicit State(std::uint32_t num_nodes)
-            : markers(num_nodes)
+        explicit State(Snapshot initial) : markers(std::move(initial))
         {}
         std::uint64_t submitSeq = 0;
         std::uint64_t doneSeq = 0;
         /** Cancelled turns not yet reached by doneSeq. */
         std::set<std::uint64_t> cancelled;
-        MarkerStore markers;
+        Snapshot markers;
     };
 
     /** Advance doneSeq over contiguous cancelled turns (caller holds
@@ -106,6 +114,8 @@ class SessionStore
     std::condition_variable turn_;
     std::map<std::string, State> sessions_;
     std::uint32_t numNodes_;
+    /** Shared initial state of every new session. */
+    Snapshot empty_;
 };
 
 } // namespace serve

@@ -223,34 +223,24 @@ decodeResults(WireReader &r, ResultSet &out)
 // --- markers (session checkpoints) --------------------------------------
 
 void
-encodeMarkers(WireWriter &w, const MarkerStore &m)
+encodeMarkers(WireWriter &w, const SparseMarkers &m)
 {
-    std::uint8_t num_planes = 0;
-    for (std::uint32_t mk = 0; mk < capacity::numMarkers; ++mk)
-        if (m.count(static_cast<MarkerId>(mk)) > 0)
-            ++num_planes;
-    w.u8(num_planes);
-    for (std::uint32_t mk = 0; mk < capacity::numMarkers; ++mk) {
-        const MarkerId marker = static_cast<MarkerId>(mk);
-        const std::uint32_t count = m.count(marker);
-        if (count == 0)
-            continue;
-        w.u8(static_cast<std::uint8_t>(mk));
-        w.u32(count);
-        for (std::uint32_t n = 0; n < m.numNodes(); ++n) {
-            if (!m.test(marker, n))
-                continue;
-            w.u32(n);
-            if (isComplexMarker(marker)) {
-                w.f32(m.value(marker, n));
-                w.u32(m.origin(marker, n));
+    w.u8(static_cast<std::uint8_t>(m.planes().size()));
+    for (const SparseMarkers::Plane &plane : m.planes()) {
+        w.u8(plane.marker);
+        w.u32(static_cast<std::uint32_t>(plane.nodes.size()));
+        for (std::size_t k = 0; k < plane.nodes.size(); ++k) {
+            w.u32(plane.nodes[k]);
+            if (!plane.values.empty()) {
+                w.f32(plane.values[k].value);
+                w.u32(plane.values[k].origin);
             }
         }
     }
 }
 
 bool
-decodeMarkers(WireReader &r, MarkerStore &out)
+decodeMarkers(WireReader &r, SparseMarkers &out)
 {
     const std::uint32_t num_planes = r.u8();
     if (r.failed() || num_planes > capacity::numMarkers)
@@ -263,26 +253,29 @@ decodeMarkers(WireReader &r, MarkerStore &out)
             return false;
         prev_plane = mk;
         const MarkerId marker = static_cast<MarkerId>(mk);
+        const bool complex = isComplexMarker(marker);
         // An entry is a node id, plus value and origin when complex.
-        const std::uint32_t count =
-            r.count(isComplexMarker(marker) ? 12 : 4);
+        const std::uint32_t count = r.count(complex ? 12 : 4);
         if (r.failed() || count > out.numNodes())
             return false;
-        std::uint32_t prev_node = 0;
+        if (count == 0)
+            continue;
+        SparseMarkers::Plane &plane = out.addPlane(marker);
+        plane.nodes.reserve(count);
+        if (complex)
+            plane.values.reserve(count);
         for (std::uint32_t k = 0; k < count; ++k) {
             const std::uint32_t node = r.u32();
             if (r.failed() || node >= out.numNodes() ||
-                (k > 0 && node <= prev_node))
+                (k > 0 && node <= plane.nodes.back()))
                 return false;
-            prev_node = node;
-            if (isComplexMarker(marker)) {
+            plane.nodes.push_back(node);
+            if (complex) {
                 const float value = r.f32();
                 const std::uint32_t origin = r.u32();
                 if (r.failed())
                     return false;
-                out.set(marker, node, value, origin);
-            } else {
-                out.setBit(marker, node);
+                plane.values.push_back({value, origin});
             }
         }
     }
@@ -531,7 +524,7 @@ decodeSessionState(WireReader &r, std::uint32_t expect_nodes,
         return r.done();
     if (f.numNodes != expect_nodes)
         return false;
-    f.markers = MarkerStore(f.numNodes);
+    f.markers = SparseMarkers(f.numNodes);
     if (!decodeMarkers(r, f.markers))
         return false;
     return r.done();
@@ -553,7 +546,7 @@ decodeSessionPush(WireReader &r, std::uint32_t expect_nodes,
     f.numNodes = r.u32();
     if (r.failed() || f.sessionId.empty() || f.numNodes != expect_nodes)
         return false;
-    f.markers = MarkerStore(f.numNodes);
+    f.markers = SparseMarkers(f.numNodes);
     if (!decodeMarkers(r, f.markers))
         return false;
     return r.done();

@@ -28,8 +28,8 @@
 
 #include "common/metrics_registry.hh"
 #include "isa/program.hh"
-#include "runtime/marker_store.hh"
 #include "runtime/results.hh"
+#include "runtime/sparse_markers.hh"
 #include "serve/request.hh"
 #include "shard/wire_format.hh"
 
@@ -202,14 +202,14 @@ struct SessionStateFrame
     std::string sessionId;
     bool found = false;
     std::uint32_t numNodes = 0;
-    MarkerStore markers{0};
+    SparseMarkers markers;
 };
 
 struct SessionPushFrame
 {
     std::string sessionId;
     std::uint32_t numNodes = 0;
-    MarkerStore markers{0};
+    SparseMarkers markers;
 };
 
 struct SessionPushAckFrame
@@ -246,11 +246,13 @@ bool decodeResults(WireReader &r, ResultSet &out);
 
 /** Sparse marker-state codec (session checkpoints): per non-empty
  *  plane the marker id, a node count, and ascending node ids (complex
- *  markers carry value + origin per node). */
-void encodeMarkers(WireWriter &w, const MarkerStore &m);
-/** @p out must be pre-sized to the expected node count; decode
- *  rejects out-of-range nodes and non-ascending plane/node order. */
-bool decodeMarkers(WireReader &r, MarkerStore &out);
+ *  markers carry value + origin per node) — SparseMarkers' own
+ *  layout, so both directions cost O(set entries). */
+void encodeMarkers(WireWriter &w, const SparseMarkers &m);
+/** @p out must be sized to the expected node count and hold no
+ *  planes; decode rejects out-of-range planes and nodes and
+ *  non-ascending plane/node order, and drops count-0 planes. */
+bool decodeMarkers(WireReader &r, SparseMarkers &out);
 
 // --- frame payload codecs ----------------------------------------------
 

@@ -361,61 +361,26 @@ ShardRouter::readerMain(std::uint32_t idx)
             }
             break;
           }
-          case FrameType::HealthAck: {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (decodeHealthAck(r, shard.healthAck)) {
-                shard.controlType = FrameType::HealthAck;
-                shard.controlReady = true;
-                shard.controlCv.notify_all();
+          case FrameType::HealthAck:
+          case FrameType::PrepareAck:
+          case FrameType::CommitAck:
+          case FrameType::SessionState:
+          case FrameType::SessionPushAck:
+          case FrameType::StatsSnapshot:
+            if (!acceptControl(shard, type, r)) {
+                // Same verdict as a corrupt Response: the connection
+                // is compromised.  The waiter already has its typed
+                // failure; in-flight work fails over.
+                {
+                    std::lock_guard<std::mutex> lock(doneMu_);
+                    ++corruptResponses_;
+                }
+                snap_warn("router: shard %u sent a malformed %s frame",
+                          idx, frameTypeName(type));
+                exit_kind = IoErrorKind::BadType;
+                goto done;
             }
             break;
-          }
-          case FrameType::PrepareAck: {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (decodePrepareAck(r, shard.prepareAck)) {
-                shard.controlType = FrameType::PrepareAck;
-                shard.controlReady = true;
-                shard.controlCv.notify_all();
-            }
-            break;
-          }
-          case FrameType::CommitAck: {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (decodeEpoch(r, shard.commitAck)) {
-                shard.controlType = FrameType::CommitAck;
-                shard.controlReady = true;
-                shard.controlCv.notify_all();
-            }
-            break;
-          }
-          case FrameType::SessionState: {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (decodeSessionState(r, numNodes_,
-                                   shard.sessionState)) {
-                shard.controlType = FrameType::SessionState;
-                shard.controlReady = true;
-                shard.controlCv.notify_all();
-            }
-            break;
-          }
-          case FrameType::SessionPushAck: {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (decodeSessionPushAck(r, shard.pushAck)) {
-                shard.controlType = FrameType::SessionPushAck;
-                shard.controlReady = true;
-                shard.controlCv.notify_all();
-            }
-            break;
-          }
-          case FrameType::StatsSnapshot: {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (decodeStatsSnapshot(r, shard.statsAck)) {
-                shard.controlType = FrameType::StatsSnapshot;
-                shard.controlReady = true;
-                shard.controlCv.notify_all();
-            }
-            break;
-          }
           default:
             snap_warn("router: unexpected %s frame from shard %u",
                       frameTypeName(type), idx);
@@ -809,18 +774,20 @@ ShardRouter::dispatch(PendingPtr p)
             p->copies.fetch_add(1, std::memory_order_relaxed);
             p->sentAt = Clock::now();
         }
-        const std::uint64_t sent_ns =
-            p->logHops ? trace::hostNowNs() : 0;
+        // Log the hop before the frame goes out: the answer can
+        // arrive, and its slow-query record be cut, before
+        // writeFrame returns.
+        if (p->logHops) {
+            noteAttemptSent(*p, idx, kind, span_id,
+                            trace::hostNowNs());
+        }
         bool ok;
         {
             std::lock_guard<std::mutex> wlock(shard.writeMu);
             ok = writeFrame(shard.fd, FrameType::Request, w.bytes());
         }
-        if (ok) {
-            if (p->logHops)
-                noteAttemptSent(*p, idx, kind, span_id, sent_ns);
+        if (ok)
             return;
-        }
         // Broken pipe: reclaim our entry (if shardDown has not
         // already) and decide retry vs fail ourselves.
         {
@@ -917,16 +884,53 @@ ShardRouter::drain()
 }
 
 bool
+ShardRouter::acceptControl(Shard &shard, FrameType type, WireReader &r)
+{
+    bool ok = false;
+    std::lock_guard<std::mutex> lock(shard.mu);
+    switch (type) {
+      case FrameType::HealthAck:
+        ok = decodeHealthAck(r, shard.healthAck);
+        break;
+      case FrameType::PrepareAck:
+        ok = decodePrepareAck(r, shard.prepareAck);
+        break;
+      case FrameType::CommitAck:
+        ok = decodeEpoch(r, shard.commitAck);
+        break;
+      case FrameType::SessionState:
+        ok = decodeSessionState(r, numNodes_, shard.sessionState);
+        break;
+      case FrameType::SessionPushAck:
+        ok = decodeSessionPushAck(r, shard.pushAck);
+        break;
+      case FrameType::StatsSnapshot:
+        ok = decodeStatsSnapshot(r, shard.statsAck);
+        break;
+      default:
+        snap_panic("acceptControl(%s)", frameTypeName(type));
+    }
+    shard.controlType = type;
+    shard.controlReady = ok;
+    shard.controlMalformed = !ok;
+    shard.controlCv.notify_all();
+    return ok;
+}
+
+bool
 ShardRouter::sendControl(std::uint32_t idx, FrameType type,
                          const std::vector<std::uint8_t> &payload,
-                         double timeout_ms)
+                         double timeout_ms, const char *what,
+                         std::string &err)
 {
     Shard &shard = *shards_[idx];
+    err = formatString("shard %u did not answer the %s", idx, what);
     {
         std::lock_guard<std::mutex> lock(shard.mu);
         if (!shard.up)
             return false;
         shard.controlReady = false;
+        shard.controlMalformed = false;
     }
     {
         std::lock_guard<std::mutex> wlock(shard.writeMu);
@@ -934,12 +938,22 @@ ShardRouter::sendControl(std::uint32_t idx, FrameType type,
             return false;
     }
     std::unique_lock<std::mutex> lock(shard.mu);
-    const bool got = shard.controlCv.wait_for(
+    shard.controlCv.wait_for(
         lock,
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::duration<double, std::milli>(timeout_ms)),
-        [&] { return shard.controlReady || !shard.up; });
-    return got && shard.controlReady;
+        [&] {
+            return shard.controlReady || shard.controlMalformed ||
+                   !shard.up;
+        });
+    if (shard.controlMalformed) {
+        err = formatString("shard %u sent a malformed reply to the %s",
+                           idx, what);
+    }
+    if (!shard.controlReady)
+        return false;
+    err.clear();
+    return true;
 }
 
 bool
@@ -954,14 +968,19 @@ ShardRouter::probeShard(std::uint32_t idx, std::string &err)
                   (1ull << 63);
     WireWriter w;
     encodeHealth(w, probe);
-    if (!sendControl(idx, FrameType::Health, w.bytes(), 5000.0)) {
-        err = formatString("shard %u did not answer the health probe",
-                           idx);
-        if (shardHealthy(idx)) {
+    if (!sendControl(idx, FrameType::Health, w.bytes(), 5000.0,
+                     "health probe", err)) {
+        bool malformed = false;
+        {
+            std::lock_guard<std::mutex> lock(shard.mu);
+            malformed = shard.controlMalformed;
+        }
+        if (!malformed && shardHealthy(idx)) {
             // The connection is nominally up but the shard sat on a
             // probe for seconds: a wedged shard is as gone as a dead
             // one.  Mark it down so in-flight work fails over; the
-            // monitor re-dials it if it comes back.
+            // monitor re-dials it if it comes back.  (A malformed
+            // ack already downed it as corrupt.)
             shard.lastError.store(IoErrorKind::Timeout,
                                   std::memory_order_release);
             shardDown(idx);
@@ -993,11 +1012,9 @@ ShardRouter::pullShardStats(std::uint32_t idx,
                  (1ull << 62);
     WireWriter w;
     encodeStatsPull(w, pull);
-    if (!sendControl(idx, FrameType::StatsPull, w.bytes(), 5000.0)) {
-        err = formatString("shard %u did not answer the stats pull",
-                           idx);
+    if (!sendControl(idx, FrameType::StatsPull, w.bytes(), 5000.0,
+                     "stats pull", err))
         return false;
-    }
     {
         std::lock_guard<std::mutex> lock(shard.mu);
         if (shard.controlType != FrameType::StatsSnapshot ||
@@ -1093,12 +1110,9 @@ ShardRouter::pullSession(std::uint32_t idx, const std::string &sid,
     pull.sessionId = sid;
     WireWriter w;
     encodeSessionPull(w, pull);
-    if (!sendControl(idx, FrameType::SessionPull, w.bytes(),
-                     30000.0)) {
-        err = formatString("shard %u did not answer the session pull",
-                           idx);
+    if (!sendControl(idx, FrameType::SessionPull, w.bytes(), 30000.0,
+                     "session pull", err))
         return false;
-    }
     std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.controlType != FrameType::SessionState ||
         shard.sessionState.sessionId != sid) {
@@ -1106,29 +1120,26 @@ ShardRouter::pullSession(std::uint32_t idx, const std::string &sid,
                            idx);
         return false;
     }
-    out = shard.sessionState;
+    out = std::move(shard.sessionState);
     err.clear();
     return true;
 }
 
 bool
 ShardRouter::pushSession(std::uint32_t idx, const std::string &sid,
-                         const MarkerStore &markers, std::string &err)
+                         SparseMarkers markers, std::string &err)
 {
     Shard &shard = *shards_[idx];
     std::lock_guard<std::mutex> op(shard.controlOpMu);
     SessionPushFrame push;
     push.sessionId = sid;
     push.numNodes = numNodes_;
-    push.markers = markers;
+    push.markers = std::move(markers);
     WireWriter w;
     encodeSessionPush(w, push);
-    if (!sendControl(idx, FrameType::SessionPush, w.bytes(),
-                     30000.0)) {
-        err = formatString("shard %u did not answer the session push",
-                           idx);
+    if (!sendControl(idx, FrameType::SessionPush, w.bytes(), 30000.0,
+                     "session push", err))
         return false;
-    }
     std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.controlType != FrameType::SessionPushAck ||
         shard.pushAck.sessionId != sid) {
@@ -1221,7 +1232,8 @@ ShardRouter::drainShard(std::uint32_t idx, std::string &err)
         if (ok)
             ok = pullSession(idx, sid, st, op_err);
         if (ok && st.found)
-            ok = pushSession(target, sid, st.markers, op_err);
+            ok = pushSession(target, sid, std::move(st.markers),
+                             op_err);
         if (ok) {
             std::lock_guard<std::mutex> lock(pinMu_);
             auto it = pins_.find(sid);
@@ -1390,7 +1402,7 @@ ShardRouter::replicatorMain()
         std::string err;
         if (!pullSession(primary, sid, st, err) || !st.found)
             continue;
-        if (!pushSession(backup, sid, st.markers, err))
+        if (!pushSession(backup, sid, std::move(st.markers), err))
             continue;
         {
             std::lock_guard<std::mutex> lock(replMu_);
@@ -1431,7 +1443,8 @@ ShardRouter::hedgeOne(std::uint32_t cur, const PendingPtr &p)
             return;
         p->copies.fetch_add(1, std::memory_order_relaxed);
     }
-    const std::uint64_t sent_ns = p->logHops ? trace::hostNowNs() : 0;
+    if (p->logHops) // before the write, as in dispatch()
+        noteAttemptSent(*p, target, "hedge", span_id, trace::hostNowNs());
     bool ok;
     {
         std::lock_guard<std::mutex> wlock(t.writeMu);
@@ -1447,8 +1460,6 @@ ShardRouter::hedgeOne(std::uint32_t cur, const PendingPtr &p)
         }
         return;
     }
-    if (p->logHops)
-        noteAttemptSent(*p, target, "hedge", span_id, sent_ns);
     {
         std::lock_guard<std::mutex> lock(doneMu_);
         ++hedged_;
@@ -1580,9 +1591,8 @@ ShardRouter::swapEpoch(const std::string &image_path, std::string &err)
         std::lock_guard<std::mutex> op(shards_[i]->controlOpMu);
         // Re-stamping a replica pool is seconds of work at most;
         // minutes means the shard is wedged.
-        if (!sendControl(i, FrameType::Prepare, w.bytes(),
-                         120000.0)) {
-            err = formatString("shard %u did not ack prepare", i);
+        if (!sendControl(i, FrameType::Prepare, w.bytes(), 120000.0,
+                         "prepare", err)) {
             all_ok = false;
             break;
         }
@@ -1605,11 +1615,12 @@ ShardRouter::swapEpoch(const std::string &image_path, std::string &err)
             if (!shardHealthy(i))
                 continue;
             std::lock_guard<std::mutex> op(shards_[i]->controlOpMu);
-            if (!sendControl(i, FrameType::Commit, w.bytes(),
-                             30000.0)) {
+            std::string commit_err;
+            if (!sendControl(i, FrameType::Commit, w.bytes(), 30000.0,
+                             "commit", commit_err)) {
                 // The shard re-stamped but its commit-ack was lost;
                 // its advertised epoch lags until the next probe.
-                snap_warn("router: shard %u did not ack commit", i);
+                snap_warn("router: %s", commit_err.c_str());
             }
         }
         epoch_ = next_epoch;

@@ -349,6 +349,9 @@ class ShardRouter
         /** One outstanding control op at a time; acks land here. */
         std::condition_variable controlCv;
         bool controlReady = false;
+        /** The last ack failed to decode (the waiter fails at once
+         *  instead of waiting out its deadline). */
+        bool controlMalformed = false;
         HealthAckFrame healthAck;
         PrepareAckFrame prepareAck;
         EpochFrame commitAck;
@@ -398,9 +401,16 @@ class ShardRouter
     void dispatch(PendingPtr p);
     void failRequest(const PendingPtr &p);
     void noteDone();
+    /** Send one control frame and wait for its ack.  On failure
+     *  @p err names @p what and says whether the shard sent a
+     *  malformed reply or none within @p timeout_ms. */
     bool sendControl(std::uint32_t idx, FrameType type,
                      const std::vector<std::uint8_t> &payload,
-                     double timeout_ms);
+                     double timeout_ms, const char *what,
+                     std::string &err);
+    /** Decode a control ack into its slot and wake the waiter.
+     *  @return false on a malformed payload. */
+    bool acceptControl(Shard &shard, FrameType type, WireReader &r);
     /** Dial + handshake shard @p idx (no reader thread started). */
     bool dialShard(std::uint32_t idx, double timeout_ms,
                    std::string &detail, IoErrorKind &kind);
@@ -409,7 +419,7 @@ class ShardRouter
     bool pullSession(std::uint32_t idx, const std::string &sid,
                      SessionStateFrame &out, std::string &err);
     bool pushSession(std::uint32_t idx, const std::string &sid,
-                     const MarkerStore &markers, std::string &err);
+                     SparseMarkers markers, std::string &err);
     void enqueueWarmup(const std::string &sid);
     void replicatorMain();
     void monitorMain();

@@ -38,6 +38,7 @@ ShardServer::~ShardServer()
     }
     for (std::thread &t : threads)
         t.join();
+    closeFd(listenFd_);
 }
 
 bool
@@ -87,13 +88,12 @@ ShardServer::stop()
     bool was = stopping_.exchange(true, std::memory_order_acq_rel);
     if (was)
         return;
-    // Closing the fds unblocks the accept loop and every reader.
+    // Shutting the fds down unblocks the accept loop and every
+    // reader.  The listener is closed by the destructor, not here:
+    // run() may still be reading listenFd_.
     std::lock_guard<std::mutex> lock(connMu_);
-    if (listenFd_ >= 0) {
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
-        closeFd(listenFd_);
-        listenFd_ = -1;
-    }
     for (int fd : connFds_)
         ::shutdown(fd, SHUT_RDWR);
 }
@@ -204,11 +204,10 @@ ShardServer::handleFrame(int fd, std::uint32_t conn,
         }
         SessionStateFrame st;
         st.sessionId = pull.sessionId;
-        MarkerStore m(engine_->sharedImage().numNodes());
-        if (engine_->trySessionMarkers(pull.sessionId, m)) {
+        if (auto state = engine_->sessionState(pull.sessionId)) {
             st.found = true;
-            st.numNodes = m.numNodes();
-            st.markers = std::move(m);
+            st.numNodes = state->numNodes();
+            st.markers = *state;
         }
         WireWriter w;
         encodeSessionState(w, st);

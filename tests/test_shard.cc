@@ -14,7 +14,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <future>
@@ -28,6 +30,7 @@
 
 #include "arch/kb_image_io.hh"
 #include "arch/machine.hh"
+#include "fault/fault_plan.hh"
 #include "fault/fleet_fault.hh"
 #include "runtime/marker_store.hh"
 #include "serve/engine.hh"
@@ -91,9 +94,10 @@ TEST(HashRing, SkippingMovesOnlyOrphanedKeys)
         std::uint32_t home = ring.owner(k);
         std::uint32_t live = ring.ownerSkipping(k, down);
         EXPECT_NE(live, 2u);
-        if (home != 2)
+        if (home != 2) {
             EXPECT_EQ(live, home)
                 << "healthy placements must not move";
+        }
     }
     // All shards down: the walk gives up and returns the home shard.
     std::vector<bool> all(kShards, true);
@@ -588,6 +592,135 @@ TEST(ShardProtocol, SessionFramesRoundTripTheMarkerState)
     ASSERT_TRUE(shard::decodeSessionPushAck(r4, ack_out));
     EXPECT_FALSE(ack_out.ok);
     EXPECT_EQ(ack_out.detail, ack.detail);
+}
+
+/** Golden session states: hand-placed entries on planes 0 and 63
+ *  (the complex edge) and 64 and 127 (binary), at nodes 0 and N-1;
+ *  and a seeded random state over 16384 nodes. */
+MarkerStore
+goldenSmallState()
+{
+    MarkerStore m(130);
+    m.set(0, 0, 1.5f, 7);
+    m.set(0, 129, -2.25f, invalidNode);
+    m.set(63, 64, 0.125f, 3);
+    m.setBit(64, 0);
+    m.setBit(64, 63);
+    m.setBit(64, 64);
+    m.setBit(64, 129);
+    m.setBit(127, 129);
+    return m;
+}
+
+MarkerStore
+goldenRandomState()
+{
+    constexpr std::uint32_t kNodes = 16384;
+    MarkerStore m(kNodes);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    auto next = [&] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    for (int i = 0; i < 3000; ++i) {
+        const auto mk =
+            static_cast<MarkerId>(next() % capacity::numMarkers);
+        const auto n = static_cast<NodeId>(next() % kNodes);
+        const float v =
+            static_cast<float>(next() % 2001) / 8.0f - 125.0f;
+        const auto origin = static_cast<NodeId>(next() % kNodes);
+        m.set(mk, n, v, origin);
+    }
+    return m;
+}
+
+TEST(ShardProtocol, SessionFramesMatchTheDenseEncoderGoldens)
+{
+    // Bytes and digests recorded from the dense MarkerStore encoder
+    // the sparse codec replaced: the session wire format must not
+    // move by a byte.
+    const std::vector<std::uint8_t> small_state = {
+        0x06, 0x00, 0x00, 0x00, 0x67, 0x6f, 0x6c, 0x64, 0x65, 0x6e,
+        0x01, 0x82, 0x00, 0x00, 0x00, 0x04, 0x00, 0x02, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x3f, 0x07,
+        0x00, 0x00, 0x00, 0x81, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10,
+        0xc0, 0xff, 0xff, 0xff, 0xff, 0x3f, 0x01, 0x00, 0x00, 0x00,
+        0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3e, 0x03, 0x00,
+        0x00, 0x00, 0x40, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x3f, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x81,
+        0x00, 0x00, 0x00, 0x7f, 0x01, 0x00, 0x00, 0x00, 0x81, 0x00,
+        0x00, 0x00};
+    // A push frame is the state frame without the `found` byte.
+    std::vector<std::uint8_t> small_push = small_state;
+    small_push.erase(small_push.begin() + 10);
+
+    struct Golden
+    {
+        MarkerStore state;
+        std::size_t stateBytes, pushBytes;
+        std::uint64_t stateFnv, pushFnv;
+    };
+    const Golden goldens[] = {
+        {goldenSmallState(), 92, 91, 0x0007cefd6c4599fcull,
+         0xf89ee472da1e2d6dull},
+        {goldenRandomState(), 24944, 24943, 0x893173f836a10bf2ull,
+         0x660e655c39cd822bull},
+    };
+    for (const Golden &g : goldens) {
+        shard::SessionStateFrame st;
+        st.sessionId = "golden";
+        st.found = true;
+        st.numNodes = g.state.numNodes();
+        st.markers = g.state;
+        WireWriter sw;
+        shard::encodeSessionState(sw, st);
+        EXPECT_EQ(sw.bytes().size(), g.stateBytes);
+        EXPECT_EQ(shard::fnv1a64(sw.bytes().data(), sw.bytes().size()),
+                  g.stateFnv);
+
+        shard::SessionPushFrame push;
+        push.sessionId = "golden";
+        push.numNodes = g.state.numNodes();
+        push.markers = g.state;
+        WireWriter pw;
+        shard::encodeSessionPush(pw, push);
+        EXPECT_EQ(pw.bytes().size(), g.pushBytes);
+        EXPECT_EQ(shard::fnv1a64(pw.bytes().data(), pw.bytes().size()),
+                  g.pushFnv);
+
+        // Decoding and re-encoding (the router's forward from pull
+        // to push) reproduces the bytes.
+        WireReader r(sw.bytes().data(), sw.bytes().size());
+        shard::SessionStateFrame back;
+        ASSERT_TRUE(
+            shard::decodeSessionState(r, g.state.numNodes(), back));
+        EXPECT_TRUE(markersEquivalent(back.markers.toDense(), g.state));
+        shard::SessionPushFrame fwd;
+        fwd.sessionId = back.sessionId;
+        fwd.numNodes = back.numNodes;
+        fwd.markers = std::move(back.markers);
+        WireWriter fw;
+        shard::encodeSessionPush(fw, fwd);
+        EXPECT_EQ(fw.bytes(), pw.bytes());
+    }
+
+    shard::SessionStateFrame st;
+    st.sessionId = "golden";
+    st.found = true;
+    st.numNodes = 130;
+    st.markers = goldenSmallState();
+    WireWriter sw;
+    shard::encodeSessionState(sw, st);
+    EXPECT_EQ(sw.bytes(), small_state);
+    shard::SessionPushFrame push;
+    push.sessionId = "golden";
+    push.numNodes = 130;
+    push.markers = goldenSmallState();
+    WireWriter pw;
+    shard::encodeSessionPush(pw, push);
+    EXPECT_EQ(pw.bytes(), small_push);
 }
 
 TEST(ShardProtocol, ResponseChecksumCatchesEveryByteFlip)
@@ -1335,27 +1468,33 @@ TEST_F(ShardFleetTest, ConnectRefusedIsTypedAtConnect)
     EXPECT_EQ(router.shardLastError(1), IoErrorKind::Refused);
 }
 
-/** A fake shard that completes the Hello handshake and then goes
- *  silent — a wedged process: accepting, not answering. */
-struct WedgedShard
+/** A fake shard that completes the Hello handshake and then hands
+ *  every frame to @p reply (fd, type, payload).  With no reply it is
+ *  a wedged process: accepting, never answering. */
+struct ScriptedShard
 {
+    using ReplyFn = std::function<void(
+        int, FrameType, const std::vector<std::uint8_t> &)>;
+
     int listenFd = -1;
-    int connFd = -1;
+    std::atomic<int> connFd{-1};
     std::thread runner;
 
-    explicit WedgedShard(const shard::Endpoint &ep)
+    explicit ScriptedShard(const shard::Endpoint &ep,
+                           ReplyFn reply = nullptr)
     {
         std::string detail;
         listenFd = shard::listenEndpoint(ep, detail);
         EXPECT_GE(listenFd, 0) << detail;
-        runner = std::thread([this] {
+        runner = std::thread([this, reply] {
             std::string err;
-            connFd = shard::acceptConnection(listenFd, err);
-            if (connFd < 0)
+            const int fd = shard::acceptConnection(listenFd, err);
+            connFd = fd;
+            if (fd < 0)
                 return;
             FrameType type;
             std::vector<std::uint8_t> payload;
-            if (!shard::readFrame(connFd, type, payload, err) ||
+            if (!shard::readFrame(fd, type, payload, err) ||
                 type != FrameType::Hello)
                 return;
             shard::HelloAckFrame ack;
@@ -1364,15 +1503,15 @@ struct WedgedShard
             ack.numClusters = 8;
             WireWriter w;
             shard::encodeHelloAck(w, ack);
-            shard::writeFrame(connFd, FrameType::HelloAck, w.bytes());
-            // Swallow everything else (Health probes included)
-            // without ever answering.
-            while (shard::readFrame(connFd, type, payload, err)) {
+            shard::writeFrame(fd, FrameType::HelloAck, w.bytes());
+            while (shard::readFrame(fd, type, payload, err)) {
+                if (reply)
+                    reply(fd, type, payload);
             }
         });
     }
 
-    ~WedgedShard()
+    ~ScriptedShard()
     {
         if (connFd >= 0)
             ::shutdown(connFd, SHUT_RDWR);
@@ -1390,7 +1529,7 @@ TEST_F(ShardFleetTest, ProbeTimeoutOnAWedgedShardIsTypedAndDownsIt)
     ASSERT_TRUE(
         shard::parseEndpoint("unix:" + sock0.path(), ep, detail))
         << detail;
-    WedgedShard wedged(ep);
+    ScriptedShard wedged(ep); // swallows Health probes unanswered
 
     shard::RouterConfig rcfg;
     rcfg.shards = {"unix:" + sock0.path()};
@@ -1522,6 +1661,190 @@ TEST_F(ShardFleetTest, PlannedDrainMigratesSessionState)
     test::expectSameResults(r2.results, ref2.results);
     ASSERT_FALSE(ref2.results.empty());
     ASSERT_FALSE(ref2.results[0].nodes.empty());
+}
+
+/** A session turn whose answer depends on every earlier turn: mark
+ *  the ancestors of @p start, answer those shared with the session
+ *  context, then fold them into the context (the shape of the
+ *  fleet-sessions benchmark turn). */
+Program
+contextTurn(NodeId start, RelationType up)
+{
+    constexpr MarkerId mStart = 2, mAnc = 3, mCtx = 4, mShared = 5;
+    Program prog;
+    RuleId rid = prog.addRule(PropRule::chain(up));
+    prog.append(Instruction::clearMarker(mStart));
+    prog.append(Instruction::clearMarker(mAnc));
+    prog.append(Instruction::clearMarker(mShared));
+    prog.append(Instruction::searchNode(start, mStart, 0.0f));
+    prog.append(
+        Instruction::propagate(mStart, mAnc, rid, MarkerFunc::Count));
+    prog.append(Instruction::barrier());
+    prog.append(
+        Instruction::andMarker(mAnc, mCtx, mShared, CombineOp::Sum));
+    prog.append(
+        Instruction::orMarker(mAnc, mCtx, mCtx, CombineOp::Min));
+    prog.append(Instruction::collectMarker(mShared));
+    return prog;
+}
+
+/** Entry-for-entry equality of two sparse states (floats by bits). */
+bool
+sameSparse(const SparseMarkers &a, const SparseMarkers &b)
+{
+    if (a.numNodes() != b.numNodes() ||
+        a.planes().size() != b.planes().size())
+        return false;
+    for (std::size_t p = 0; p < a.planes().size(); ++p) {
+        const auto &pa = a.planes()[p];
+        const auto &pb = b.planes()[p];
+        if (pa.marker != pb.marker || pa.nodes != pb.nodes ||
+            pa.values.size() != pb.values.size())
+            return false;
+        for (std::size_t k = 0; k < pa.values.size(); ++k) {
+            if (std::memcmp(&pa.values[k], &pb.values[k],
+                            sizeof(MarkerValue)) != 0)
+                return false;
+        }
+    }
+    return true;
+}
+
+TEST_F(ShardFleetTest, FiftyTurnSessionMatchesSoloAndReplicatesExactly)
+{
+    TempPath sock0("turn0.sock"), sock1("turn1.sock");
+    std::vector<std::unique_ptr<TestShard>> fleet;
+    fleet.push_back(std::make_unique<TestShard>(
+        image_file_->path(), "unix:" + sock0.path()));
+    fleet.push_back(std::make_unique<TestShard>(
+        image_file_->path(), "unix:" + sock1.path()));
+
+    shard::RouterConfig rcfg;
+    rcfg.shards = {"unix:" + sock0.path(), "unix:" + sock1.path()};
+    rcfg.replication = 2;
+    ShardRouter router(rcfg);
+    std::string detail;
+    ASSERT_TRUE(router.connect(detail)) << detail;
+
+    serve::ServeConfig scfg = shardServeConfig();
+    SnapMachine solo(scfg.machine);
+    solo.loadKb(net_);
+
+    const std::string sid = "fifty";
+    const RelationType up = net_.relationId("is-a");
+    std::size_t answered_nodes = 0;
+    for (std::uint32_t turn = 0; turn < 50; ++turn) {
+        Program prog =
+            contextTurn(static_cast<NodeId>((37 * turn + 11) % 300), up);
+        RunResult want = solo.run(prog);
+        shard::RouterRequest req;
+        req.sessionId = sid;
+        req.prog = prog;
+        shard::ResponseFrame got = submitAndWait(router, std::move(req));
+        ASSERT_EQ(got.status, serve::RequestStatus::Ok)
+            << "turn " << turn;
+        test::expectSameResults(got.results, want.results);
+        EXPECT_EQ(got.wallTicks, want.wallTicks) << "turn " << turn;
+        ASSERT_FALSE(want.results.empty());
+        answered_nodes += want.results[0].nodes.size();
+    }
+    ASSERT_GT(answered_nodes, 0u)
+        << "no turn shared anything with its context";
+
+    // The primary holds the solo machine's final marker state.
+    const std::uint32_t primary =
+        HashRing(2, rcfg.vnodes).owner(shard::fnv1a64(sid));
+    serve::ServeEngine &pe = fleet[primary]->server->engine();
+    serve::ServeEngine &be = fleet[1 - primary]->server->engine();
+    auto pstate = pe.sessionState(sid);
+    ASSERT_NE(pstate, nullptr);
+    EXPECT_TRUE(markersEquivalent(pstate->toDense(),
+                                  solo.image().flatten()));
+
+    // The replicator converges the backup on the primary's last
+    // published state.
+    bool same = false;
+    for (int i = 0; i < 500 && !same; ++i) {
+        auto bstate = be.sessionState(sid);
+        same = bstate != nullptr && sameSparse(*bstate, *pstate);
+        if (!same)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(same) << "the backup never caught up with the primary";
+    EXPECT_GE(router.warmupCount(), 1u);
+}
+
+TEST_F(ShardFleetTest, MalformedSessionStateFailsThePullAtOnce)
+{
+    // Two fake shards that answer requests Ok but reply to a session
+    // pull with a truncated SessionState.
+    auto reply = [](int fd, FrameType type,
+                    const std::vector<std::uint8_t> &payload) {
+        WireReader r(payload.data(), payload.size());
+        if (type == FrameType::Request) {
+            shard::RequestFrame req;
+            if (!shard::decodeRequest(r, req))
+                return;
+            shard::ResponseFrame resp;
+            resp.id = req.id;
+            WireWriter w;
+            shard::encodeResponse(w, resp);
+            shard::writeFrame(fd, FrameType::Response, w.bytes());
+        } else if (type == FrameType::SessionPull) {
+            shard::SessionPullFrame pull;
+            if (!shard::decodeSessionPull(r, pull))
+                return;
+            MarkerStore m(300);
+            m.set(0, 4, 1.0f, 4);
+            m.setBit(70, 299);
+            shard::SessionStateFrame st;
+            st.sessionId = pull.sessionId;
+            st.found = true;
+            st.numNodes = 300;
+            st.markers = m;
+            WireWriter w;
+            shard::encodeSessionState(w, st);
+            std::vector<std::uint8_t> cut = w.bytes();
+            cut.resize(cut.size() - 3);
+            shard::writeFrame(fd, FrameType::SessionState, cut);
+        }
+    };
+    TempPath sock0("bad0.sock"), sock1("bad1.sock");
+    shard::Endpoint ep0, ep1;
+    std::string detail;
+    ASSERT_TRUE(shard::parseEndpoint("unix:" + sock0.path(), ep0, detail));
+    ASSERT_TRUE(shard::parseEndpoint("unix:" + sock1.path(), ep1, detail));
+    ScriptedShard fake0(ep0, reply), fake1(ep1, reply);
+
+    shard::RouterConfig rcfg;
+    rcfg.shards = {"unix:" + sock0.path(), "unix:" + sock1.path()};
+    rcfg.reconnectMs = 0.0;
+    ShardRouter router(rcfg);
+    ASSERT_TRUE(router.connect(detail)) << detail;
+
+    const std::string sid = "truncated";
+    shard::RouterRequest req;
+    req.sessionId = sid;
+    req.prog = countQuery(3, net_.relationId("includes"));
+    ASSERT_EQ(submitAndWait(router, std::move(req)).status,
+              serve::RequestStatus::Ok);
+
+    // Draining the session's shard pulls its state: the truncated
+    // reply must fail the pull at once, not after its 30 s deadline.
+    const std::uint32_t primary =
+        HashRing(2, rcfg.vnodes).owner(shard::fnv1a64(sid));
+    const auto t0 = std::chrono::steady_clock::now();
+    std::string err;
+    EXPECT_FALSE(router.drainShard(primary, err));
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    EXPECT_LT(secs, 1.0);
+    EXPECT_NE(err.find("malformed reply to the session pull"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(router.corruptResponseCount(), 1u);
+    EXPECT_EQ(router.shardLastError(primary), IoErrorKind::BadType);
 }
 
 } // namespace
