@@ -29,7 +29,6 @@
 #include <memory>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "arch/machine.hh"
@@ -83,30 +82,9 @@ struct Measured
     std::uint64_t digest = 0;  ///< FNV-1a over retrieval results
     std::uint64_t events = 0;  ///< host events processed
     double seconds = 0.0;      ///< host wall time of the run
-    std::uint32_t threads = 1; ///< host worker threads (cfg.hostThreads)
 
     double eps() const { return static_cast<double>(events) / seconds; }
 };
-
-/** Run @p fn @p reps times; keep the fastest rep.  Every rep must
- *  agree on simulated time, digest, and event count — a machine
- *  workload whose results move between reps is a bug, not noise. */
-template <typename Fn>
-Measured
-bestOf(int reps, Fn &&fn)
-{
-    Measured best = fn();
-    for (int i = 1; i < reps; ++i) {
-        Measured m = fn();
-        snap_assert(m.simTicks == best.simTicks &&
-                        m.digest == best.digest &&
-                        m.events == best.events,
-                    "workload not deterministic across reps");
-        if (m.seconds < best.seconds)
-            best = m;
-    }
-    return best;
-}
 
 /** Best-of-N for a tuned/seed pair, reps interleaved T,S,T,S,...
  *  Host load and frequency drift on a shared box move on multi-rep
@@ -185,12 +163,9 @@ now()
 }
 
 /** Fig. 17-style workload: β=8 overlapped PROPAGATEs + retrieval,
- *  repeated @p rounds times so the run is long enough to time.
- *  @p threads > 1 shards the clusters across host worker threads;
- *  results must stay bit-identical to the single-thread run. */
+ *  repeated @p rounds times so the run is long enough to time. */
 Measured
-runFig17(bool seed_hot_path, std::uint32_t rounds,
-         std::uint32_t threads = 1)
+runFig17(bool seed_hot_path, std::uint32_t rounds)
 {
     Workload w = makeBetaWorkload(8, 8, 8, 2, true, 11);
     for (std::uint32_t round = 0; round < rounds; ++round) {
@@ -216,7 +191,6 @@ runFig17(bool seed_hot_path, std::uint32_t rounds,
     cfg.partition = PartitionStrategy::RoundRobin;
     cfg.maxNodesPerCluster = capacity::maxNodes;
     cfg.seedHotPath = seed_hot_path;
-    cfg.hostThreads = threads;
     SnapMachine machine(cfg);
     machine.loadKb(w.net);
 
@@ -231,7 +205,6 @@ runFig17(bool seed_hot_path, std::uint32_t rounds,
     m.digest = digestResults(r.results);
     m.events = machine.eventsProcessed();
     m.seconds = t1 - t0;
-    m.threads = threads;
     return m;
 }
 
@@ -240,11 +213,11 @@ runFig17(bool seed_hot_path, std::uint32_t rounds,
  *  rows — the probes read the clock twice per scope, which costs a
  *  few percent on the hottest phases. */
 hostprof::Totals
-profileFig17(std::uint32_t rounds, std::uint32_t threads)
+profileFig17(std::uint32_t rounds)
 {
     hostprof::setEnabled(true);
     hostprof::resetThread();
-    runFig17(false, rounds, threads);
+    runFig17(false, rounds);
     hostprof::setEnabled(false);
     return hostprof::snapshot();
 }
@@ -541,23 +514,19 @@ writeJson(const std::vector<Measured> &rows,
     std::fprintf(f,
                  "{\n  \"benchmark\": \"host_perf\",\n"
                  "  %s,\n"
-                 "  \"hardware_concurrency\": %u,\n"
                  "  \"admission_submits\": %zu,\n"
                  "  \"admission_allocs\": %llu,\n"
                  "  \"results\": [\n",
-                 bench::jsonEnvelope().c_str(),
-                 std::thread::hardware_concurrency(),
-                 admission_submits,
+                 bench::jsonEnvelope().c_str(), admission_submits,
                  static_cast<unsigned long long>(admission_allocs));
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Measured &m = rows[i];
         std::fprintf(
             f,
             "    {\"workload\": \"%s\", \"impl\": \"%s\", "
-            "\"threads\": %u, "
             "\"events\": %llu, \"host_seconds\": %.6f, "
             "\"events_per_sec\": %.1f, \"sim_ticks\": %llu}%s\n",
-            m.workload.c_str(), m.impl.c_str(), m.threads,
+            m.workload.c_str(), m.impl.c_str(),
             static_cast<unsigned long long>(m.events), m.seconds,
             m.eps(), static_cast<unsigned long long>(m.simTicks),
             i + 1 < rows.size() ? "," : "");
@@ -624,7 +593,7 @@ main(int argc, char **argv)
         // Profile-only mode: one instrumented tuned fig17 run, the
         // per-phase self-time table, and nothing else.  For chasing
         // hot-loop regressions without waiting on the full bench.
-        hostprof::Totals prof = profileFig17(fig17_rounds, 1);
+        hostprof::Totals prof = profileFig17(fig17_rounds);
         std::printf("fig17 tuned (rounds=%u) per-phase host time:\n%s",
                     fig17_rounds,
                     hostprof::format(prof).c_str());
@@ -681,32 +650,13 @@ main(int argc, char **argv)
     rows.push_back(replay_tuned);
     rows.push_back(replay_seed);
 
-    const Measured &fig17_tuned = rows[2];
-    const Measured &fig17_seed = rows[3];
-
-    // Thread sweep: the same fig17 workload sharded across host
-    // worker threads.  Simulated results must stay bit-identical to
-    // the single-thread run at every thread count.
-    std::vector<Measured> sweep;
-    for (std::uint32_t t : {2u, 4u, 8u}) {
-        sweep.push_back(bestOf(machineReps, [&] {
-            return runFig17(false, fig17_rounds, t);
-        }));
-    }
-
     TextTable table;
-    table.header({"workload", "impl", "thr", "events", "host s",
-                  "events/s"});
-    auto addRow = [&](const Measured &m) {
-        table.row({m.workload, m.impl, std::to_string(m.threads),
-                   std::to_string(m.events),
+    table.header({"workload", "impl", "events", "host s", "events/s"});
+    for (const Measured &m : rows) {
+        table.row({m.workload, m.impl, std::to_string(m.events),
                    fmtDouble(m.seconds, 3),
                    fmtDouble(m.eps() / 1e6, 2) + "M"});
-    };
-    for (const Measured &m : rows)
-        addRow(m);
-    for (const Measured &m : sweep)
-        addRow(m);
+    }
     std::printf("%s\n", table.render().c_str());
 
     bool all_equiv = true;
@@ -725,32 +675,6 @@ main(int argc, char **argv)
                     tuned.workload.c_str(),
                     equiv ? "identical" : "DIVERGED", speedup);
     }
-
-    // Thread-scaling is gated on the host actually having the
-    // cores: the sweep always runs (bit-exactness is checked
-    // everywhere), but asking a single-core container to make four
-    // spin-barrier workers faster than one thread only measures the
-    // kernel's context-switch quantum.  docs/performance.md has the
-    // numbers behind this.
-    const unsigned hw = std::thread::hardware_concurrency();
-    const bool gate_scaling = hw >= 4;
-    if (!gate_scaling)
-        std::printf("host has %u hardware thread(s): reporting the "
-                    "thread sweep, gating only bit-exactness\n",
-                    hw);
-    bool sweep_equiv = true;
-    double threads4_vs_seed = 0.0;
-    for (const Measured &m : sweep) {
-        bool equiv = m.simTicks == fig17_tuned.simTicks &&
-                     m.digest == fig17_tuned.digest;
-        sweep_equiv &= equiv;
-        double vs_seed = m.eps() / fig17_seed.eps();
-        if (m.threads == 4)
-            threads4_vs_seed = vs_seed;
-        std::printf("fig17 threads=%u    sim %s, %.2fx vs seed\n",
-                    m.threads, equiv ? "identical" : "DIVERGED",
-                    vs_seed);
-    }
     std::printf("\n");
 
     const std::size_t admission_submits = 256;
@@ -761,27 +685,20 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(admission_allocs),
                 admission_submits);
 
-    hostprof::Totals prof = profileFig17(fig17_rounds, 1);
+    hostprof::Totals prof = profileFig17(fig17_rounds);
     std::printf("fig17 tuned per-phase host time (separate "
                 "instrumented run):\n%s\n",
                 hostprof::format(prof).c_str());
 
-    std::vector<Measured> json_rows = rows;
-    json_rows.insert(json_rows.end(), sweep.begin(), sweep.end());
-    writeJson(json_rows, admission_submits, admission_allocs, prof);
+    writeJson(rows, admission_submits, admission_allocs, prof);
 
-    double fig17_speedup = fig17_tuned.eps() / fig17_seed.eps();
+    double fig17_speedup = fig17_t.eps() / fig17_s.eps();
     bench::check("simulated results identical across hot paths",
                  all_equiv);
-    bench::check("thread sweep sim-identical to single thread",
-                 sweep_equiv);
     bench::check("fig17 event-kernel events/sec >= 3x seed queue",
                  queue_speedup >= 3.0);
     bench::check("fig17 machine events/sec >= 1.3x seed",
                  fig17_speedup >= 1.3);
-    if (gate_scaling)
-        bench::check("fig17 at 4 threads >= 2x seed events/sec",
-                     threads4_vs_seed >= 2.0);
     bench::check("serve admission allocates nothing per submit",
                  admission_allocs == 0);
     return bench::finish();

@@ -18,8 +18,7 @@
  * flow-control credits sized by icnMailboxDepth, and the in-flight
  * messages themselves — lives in the clusters and the Wire layer
  * (arch/wire.hh), so that every piece of mutable ICN state has
- * exactly one owning cluster and the array can be sharded across
- * host threads without shared writes.
+ * exactly one owning cluster.
  */
 
 #ifndef SNAP_ARCH_ICN_HH

@@ -17,6 +17,9 @@ constexpr char kMagic[8] = {'S', 'N', 'A', 'P', 'K', 'B', 'I', 'M'};
 constexpr std::uint32_t kEndianTag = 0x01020304u;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 4 + 4;
 constexpr std::size_t kTableEntryBytes = 4 + 4 + 8 + 8 + 8;
+/** One relation slot in the cluster section: rel, dst cluster, dst
+ *  local, dst global, weight. */
+constexpr std::size_t kSlotEntryBytes = 2 + 2 + 4 + 4 + 4;
 
 /** Section ids (order in the file follows this numbering). */
 enum SectionId : std::uint32_t
@@ -156,6 +159,7 @@ class Cursor
     }
 
     bool done() const { return pos_ == end_; }
+    std::size_t remaining() const { return end_ - pos_; }
 
   private:
     const std::uint8_t *data_;
@@ -620,7 +624,10 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
                     return bad("cluster");
                 sum += n;
             }
-            if (sum != total)
+            // Bound the counts by what the section still holds before
+            // any of them sizes an allocation: every count is <= the
+            // total, and each slot entry is 16 bytes.
+            if (sum != total || total > c.remaining() / kSlotEntryBytes)
                 return bad("cluster");
             std::vector<std::vector<RelSlot>> slots(locals);
             for (LocalNodeId l = 0; l < locals; ++l) {

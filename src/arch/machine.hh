@@ -8,15 +8,13 @@
  * executes SNAP programs and reports execution time plus the full
  * statistics breakdown.
  *
- * Execution shards: the machine drives the simulation with
- * min(cfg.hostThreads, numClusters) host shards, each owning an event
- * queue, a contiguous block of clusters, a sync tree, a statistics
- * breakdown, and a perf-net view.  All cross-shard interaction rides
- * the Wire (arch/wire.hh) as latency-stamped deliverables, exchanged
- * at conservative-lookahead window boundaries; the single-shard run
- * executes the identical wire model on one queue and is the bit-exact
- * oracle — results, statistics, and simulated timing are identical at
- * every thread count.
+ * One host thread drives one machine: a single event queue, sync
+ * tree, statistics breakdown, perf-net view and component context.
+ * Every cross-endpoint interaction still rides the Wire
+ * (arch/wire.hh) as a latency-stamped deliverable; that is part of
+ * the simulated timing model, not a host execution detail.
+ * Parallelism lives one level up: the serve engine runs a pool of
+ * machine replicas and coalesces identical requests.
  */
 
 #ifndef SNAP_ARCH_MACHINE_HH
@@ -125,45 +123,22 @@ class SnapMachine
 
     HypercubeIcn &icn() { return *icn_; }
     PerfNet &perfNet() { return *perf_; }
-    /** Shard 0's sync tree (the whole machine's on one shard). */
-    SyncTree &syncTree() { return *shards_.at(0)->sync; }
     Cluster &cluster(ClusterId c) { return *clusters_.at(c); }
 
-    /** Execution shards the array is driven with (1 until a KB is
-     *  loaded; then min(cfg.hostThreads, numClusters), or 1 when
-     *  simulated-time tracing is active). */
-    std::uint32_t numShards() const { return numShards_; }
-
-    /** Simulated time elapsed since construction (max over the shard
-     *  clocks; they are realigned at every run start). */
-    Tick
-    now() const
-    {
-        Tick t = 0;
-        for (const auto &sh : shards_)
-            t = std::max(t, sh->eq.curTick());
-        return t;
-    }
+    /** Simulated time elapsed since construction. */
+    Tick now() const { return eq_.curTick(); }
 
     /** Host-side event count (perf harness instrumentation). */
-    std::uint64_t
-    eventsProcessed() const
+    std::uint64_t eventsProcessed() const
     {
-        std::uint64_t n = 0;
-        for (const auto &sh : shards_)
-            n += sh->eq.eventsProcessed();
-        return n;
+        return eq_.eventsProcessed();
     }
 
     /** Record the event-schedule trace of subsequent runs into
-     *  @p trace (perf harness instrumentation; nullptr stops).
-     *  Shard 0's queue only — single-threaded harness runs. */
-    void
-    recordEventTrace(ScheduleTrace *trace)
+     *  @p trace (perf harness instrumentation; nullptr stops). */
+    void recordEventTrace(ScheduleTrace *trace)
     {
-        schedTrace_ = trace;
-        if (!shards_.empty())
-            shards_[0]->eq.recordTrace(trace);
+        eq_.recordTrace(trace);
     }
 
     /**
@@ -216,91 +191,62 @@ class SnapMachine
     void repair();
 
   private:
-    /** One execution shard: an event queue plus every piece of
-     *  mutable machine state its clusters write during a window.
-     *  Addresses must be stable (contexts are captured by reference),
-     *  hence the unique_ptr storage in shards_. */
-    struct Shard
-    {
-        explicit Shard(EventQueue::Impl impl) : eq(impl) {}
-
-        EventQueue eq;
-        std::unique_ptr<SyncTree> sync;
-        ExecBreakdown stats;
-        PerfNet::View perf;
-        std::vector<std::uint64_t> alphaPerProp;
-        MachineContext ctx;
-        /** Clusters [firstCluster, endCluster) live here. */
-        ClusterId firstCluster = 0;
-        ClusterId endCluster = 0;
-    };
-
-    /** Build shards/ICN/sync/perf/clusters/controller around
-     *  image_. */
+    /** Build ICN/sync/perf/clusters/controller around image_. */
     void wireArray();
 
-    /** Conservative lookahead: min(broadcast time, ICN hop transfer
-     *  time) — no deliverable's latency is below it. */
+    /** min(broadcast time, ICN hop transfer time): the wire's
+     *  minimum latency and the fault-run window width. */
     Tick wireLag() const;
-
-    /** Shard owning cluster @p c. */
-    std::uint32_t shardOf(ClusterId c) const;
 
     /** Register Perfetto process/track names for this machine's
      *  trace domain (cold; only when tracing is active). */
     void nameTraceTracks() const;
 
-    /** Arm this run's scheduled faults (flip/stick/wedge/dead) on
-     *  their owner shards.  All entropy is drawn here, single-
-     *  threaded, in a fixed order. */
+    /** Arm this run's scheduled faults (flip/stick/wedge/dead).  All
+     *  entropy is drawn here, before the run, in a fixed order. */
     void scheduleRunFaults(Tick start);
 
     /**
-     * Windowed event loop: every shard runs [boundary, next boundary)
-     * independently; the coordinator (the calling thread, which also
-     * drives shard 0) flushes the wire outboxes, folds the shard sync
-     * trees into the machine-wide barrier/quiescence predicates, and
-     * picks the next boundary at each window edge.  Used by every
-     * multi-shard run and by fault runs at any shard count (the
-     * watchdog lives on the deterministic boundary grid).
+     * Fault-run event loop: run [boundary, next boundary) windows of
+     * one lag each, starting at the earliest pending event, until the
+     * program drains or the simulated-time watchdog expires.  The
+     * watchdog lives on this boundary grid, which is a pure function
+     * of simulated state, so whether and where it fires is
+     * deterministic.
      * @return true when the program completed.
      */
-    bool runWindowed(Tick start, bool faulty);
-
-    /** Evaluate the merged sync predicates and notify the
-     *  controller (window-boundary coordinator only). */
-    void pollMergedSync();
+    bool runWindowed(Tick start);
 
     /** Golden-model replay from @p entry; flags divergence. */
     void checkIntegrity(const Program &prog, const MarkerStore &entry,
                         RunResult &result);
 
     MachineConfig cfg_;
+    /** Created once and kept across re-wiring (repair, reload): it
+     *  carries the machine's simulated clock, which must never move
+     *  backwards. */
+    EventQueue eq_;
 
     std::unique_ptr<KbImage> image_;
     std::unique_ptr<HypercubeIcn> icn_;
     std::unique_ptr<PerfNet> perf_;
+    PerfNet::View perfView_;
     std::unique_ptr<Wire> wire_;
+    std::unique_ptr<SyncTree> sync_;
     ExecBreakdown stats_;
+    std::vector<std::uint64_t> alphaPerProp_;
+    /** Handed by reference to every cluster and the controller. */
+    MachineContext ctx_;
 
-    std::uint32_t numShards_ = 1;
-    std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<std::unique_ptr<Cluster>> clusters_;
     std::unique_ptr<Controller> controller_;
 
     std::unique_ptr<FaultPlan> faults_;
     const SemanticNetwork *shadowNet_ = nullptr;
     bool poisoned_ = false;
-    ScheduleTrace *schedTrace_ = nullptr;
 
-    /** This run's armed scheduled faults and the shard queues they
-     *  sit on (descheduled at run end). */
-    struct ArmedFault
-    {
-        EventQueue *eq;
-        std::unique_ptr<EventFunctionWrapper> ev;
-    };
-    std::vector<ArmedFault> faultEvents_;
+    /** This run's armed scheduled faults (descheduled at run end). */
+    std::vector<std::unique_ptr<EventFunctionWrapper>> faultEvents_;
 };
 
 } // namespace snap

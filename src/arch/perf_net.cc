@@ -39,25 +39,18 @@ PerfNet::View::emit(std::uint32_t pe, Tick now, PerfEvent event,
 }
 
 void
-PerfNet::fold(const std::vector<View *> &views)
+PerfNet::fold(View &view)
 {
-    std::size_t extra = 0;
-    for (View *v : views)
-        extra += v->records_.size();
-    records_.reserve(records_.size() + extra);
     auto mid = records_.end() - records_.begin();
-    for (View *v : views) {
-        emitted += v->emitted_;
-        droppedRecords += v->dropped_;
-        v->emitted_ = 0;
-        v->dropped_ = 0;
-        records_.insert(records_.end(),
-                        std::make_move_iterator(v->records_.begin()),
-                        std::make_move_iterator(v->records_.end()));
-        v->records_.clear();
-    }
-    // (timestamp, pe) is unique: one shard drives each PE, and the
-    // serial port serializes that PE's records in time.
+    emitted += view.emitted_;
+    droppedRecords += view.dropped_;
+    view.emitted_ = 0;
+    view.dropped_ = 0;
+    records_.insert(records_.end(), view.records_.begin(),
+                    view.records_.end());
+    view.records_.clear();
+    // (timestamp, pe) is unique: the serial port serializes each
+    // PE's records in time.
     std::sort(records_.begin() + mid, records_.end(),
               [](const PerfRecord &a, const PerfRecord &b) {
                   if (a.timestamp != b.timestamp)

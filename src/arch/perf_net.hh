@@ -15,15 +15,12 @@
  * register is still shifting is dropped (and counted) — the price of
  * perturbation-free instrumentation.
  *
- * Sharded execution: each host shard emits through its own View (its
- * own record buffer and counters, so no cross-thread writes), while
- * the per-PE serial-port state stays on the master — safe because
- * each PE is driven by exactly one shard.  At run end the master
- * folds the views into the central FIFO ordered by (timestamp, pe),
+ * The machine emits through a View (a record buffer and counters);
+ * the per-PE serial-port state stays on the PerfNet.  At run end the
+ * view is folded into the central FIFO ordered by (timestamp, pe),
  * which is a total order (per-PE shift serialization forbids two
- * records from one PE at the same arrival tick).  The single-shard
- * machine uses one View and the identical fold, keeping the central
- * FIFO bit-exact across thread counts.
+ * records from one PE at the same arrival tick), so the FIFO does not
+ * depend on the order same-tick events happened to emit in.
  */
 
 #ifndef SNAP_ARCH_PERF_NET_HH
@@ -64,7 +61,7 @@ struct PerfRecord
 class PerfNet
 {
   public:
-    /** Per-shard emission front end. */
+    /** Emission front end, buffering one run's records. */
     class View
     {
       public:
@@ -92,11 +89,11 @@ class PerfNet
     bool enabled() const { return enabled_; }
 
     /**
-     * Merge the views' buffered records into the central FIFO in
+     * Merge @p view's buffered records into the central FIFO in
      * (timestamp, pe) order and drain them.  Call once per run, after
-     * all shards have quiesced.
+     * the run has quiesced.
      */
-    void fold(const std::vector<View *> &views);
+    void fold(View &view);
 
     const std::vector<PerfRecord> &records() const { return records_; }
 

@@ -287,7 +287,7 @@ FaultPlan::beginRun()
         s.tally = FaultReport{};
     // Dead clusters scope to one run: a wedged run is torn down and
     // re-wired (repair()), a clean run left the array drained.
-    deadMask_.store(0, std::memory_order_relaxed);
+    deadMask_ = 0;
 }
 
 void
@@ -426,7 +426,7 @@ void
 FaultPlan::markDead(ClusterId c)
 {
     if (c < 64)
-        deadMask_.fetch_or(1ull << c, std::memory_order_relaxed);
+        deadMask_ |= 1ull << c;
 }
 
 void
@@ -435,7 +435,7 @@ FaultPlan::bumpGeneration()
     ++generation_;
     for (Stream &s : streams_)
         s.counters.fill(0);
-    deadMask_.store(0, std::memory_order_relaxed);
+    deadMask_ = 0;
 }
 
 // --- helpers ---------------------------------------------------------

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -129,15 +128,13 @@ struct FaultReport {
  * seed-determined) fault patterns.  bumpGeneration() reseeds the whole
  * stream — used when a serving replica is quarantined and re-stamped.
  *
- * Sharded execution: injection sites are visited concurrently by the
- * host shards, so the entropy is split into independent streams —
- * stream 0 for the machine itself (per-run arm decisions, made
- * single-threaded before the run starts) and stream c+1 for cluster c
- * (its CU/MU injection-site rolls).  Each stream's draw history is a
- * pure function of that cluster's own simulated event order, which the
- * wire model keeps identical across thread counts — so the injected
- * fault pattern is too.  Tallies are likewise kept per stream and
- * folded at run end.
+ * The entropy is split into independent streams — stream 0 for the
+ * machine itself (per-run arm decisions, made before the run starts)
+ * and stream c+1 for cluster c (its CU/MU injection-site rolls).  Each
+ * stream's draw history is a pure function of that cluster's own
+ * simulated event order, so a cluster's injected faults do not shift
+ * when another cluster's event interleaving changes.  Tallies are
+ * likewise kept per stream and folded at run end.
  */
 class FaultPlan
 {
@@ -157,12 +154,12 @@ class FaultPlan
     FaultReport &tally() { return tally_; }
     const FaultReport &tally() const { return tally_; }
 
-    /// Injection tally of cluster @p c's stream.  Written only by the
-    /// shard driving that cluster; folded into tally() at run end.
+    /// Injection tally of cluster @p c's stream; folded into tally()
+    /// at run end.
     FaultReport &tallyFor(ClusterId c) { return stream(c + 1).tally; }
 
     /// Sum the per-cluster stream tallies into tally() and clear
-    /// them.  Single-threaded (run end).
+    /// them (run end).
     void foldTallies();
 
     // --- per-event injection-site rolls on cluster @p c's stream
@@ -194,27 +191,14 @@ class FaultPlan
     /// Machine-stream variant (integrity shadows, tests).
     float corruptValue(float v);
 
-    // --- dead-cluster state ------------------------------------------
-    // The mask is one shared word: each bit is written only by the
-    // shard driving that cluster (the fault event runs on the owner's
-    // queue), but read by all of them, hence the relaxed atomics.  A
-    // cluster's reads of its *own* bit are same-thread and therefore
-    // deterministic; foreign bits only gate work that the foreign
-    // cluster never sends once dead.
+    // --- dead-cluster state (one bit per cluster) -------------------
     void markDead(ClusterId c);
     bool clusterDead(ClusterId c) const
     {
-        std::uint64_t m = deadMask_.load(std::memory_order_relaxed);
-        return m != 0 && c < 64 && (m >> c & 1ull) != 0;
+        return deadMask_ != 0 && c < 64 && (deadMask_ >> c & 1ull) != 0;
     }
-    bool anyDead() const
-    {
-        return deadMask_.load(std::memory_order_relaxed) != 0;
-    }
-    void reviveAll()
-    {
-        deadMask_.store(0, std::memory_order_relaxed);
-    }
+    bool anyDead() const { return deadMask_ != 0; }
+    void reviveAll() { deadMask_ = 0; }
 
     /// Reseed the whole stream (replica re-stamp after quarantine).
     void bumpGeneration();
@@ -237,7 +221,7 @@ class FaultPlan
     FaultReport tally_;
     std::vector<Stream> streams_{1};
     std::uint64_t generation_ = 0;
-    std::atomic<std::uint64_t> deadMask_{0};
+    std::uint64_t deadMask_ = 0;
 };
 
 // --- helpers shared by machine integrity checking and tests ----------

@@ -27,7 +27,7 @@ mix64(std::uint64_t z)
 } // namespace
 
 HashRing::HashRing(std::uint32_t num_shards, std::uint32_t vnodes)
-    : numShards_(num_shards)
+    : shardCount_(num_shards)
 {
     snap_assert(num_shards >= 1, "HashRing needs >= 1 shard");
     snap_assert(vnodes >= 1, "HashRing needs >= 1 vnode per shard");
@@ -86,7 +86,7 @@ HashRing::ownerSkipping(std::uint64_t key,
 std::vector<std::uint32_t>
 HashRing::owners(std::uint64_t key, std::uint32_t r) const
 {
-    const std::uint32_t want = std::min(r, numShards_);
+    const std::uint32_t want = std::min(r, shardCount_);
     std::vector<std::uint32_t> out;
     out.reserve(want);
     const std::uint64_t h = mix64(key);

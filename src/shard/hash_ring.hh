@@ -36,7 +36,7 @@ class HashRing
     explicit HashRing(std::uint32_t num_shards,
                       std::uint32_t vnodes = 64);
 
-    std::uint32_t numShards() const { return numShards_; }
+    std::uint32_t numShards() const { return shardCount_; }
 
     /** Owner of @p key: first ring point clockwise from hash(key). */
     std::uint32_t owner(std::uint64_t key) const;
@@ -68,7 +68,7 @@ class HashRing
         std::uint32_t shard;
     };
 
-    std::uint32_t numShards_;
+    std::uint32_t shardCount_;
     /** Sorted by hash; lookup is a binary search + wrap. */
     std::vector<Point> points_;
 };

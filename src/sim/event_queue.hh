@@ -92,10 +92,10 @@ class Event
     /**
      * Mark this event as wire class: at any given tick, wire-class
      * events fire before every normal event scheduled for the same
-     * tick, regardless of scheduling order.  The parallel machine's
-     * cross-shard delivery pumps use this so that staged arrivals are
-     * applied ahead of same-tick local work in both the serial and
-     * sharded execution modes — a precondition for bit-exactness.
+     * tick, regardless of scheduling order.  The wire's delivery
+     * pumps use this so that arrivals due at a tick are applied ahead
+     * of that tick's local work, independent of when they were
+     * staged.
      */
     void setWireClass() { wireClass_ = true; }
     bool isWireClass() const { return wireClass_; }
@@ -240,11 +240,11 @@ class EventQueue
 
     /**
      * Run every event strictly before @p limit (events at exactly
-     * @p limit do NOT fire).  The parallel machine's window driver:
-     * one conservative lookahead window is [T, T + W), exclusive at
-     * the upper edge so a window-boundary arrival belongs to the next
-     * window.  curTick() is left at the last processed event, not
-     * advanced to the boundary.  @return events processed.
+     * @p limit do NOT fire).  The machine's fault-run loop: one
+     * window is [T, T + W), exclusive at the upper edge so a
+     * window-boundary arrival belongs to the next window.  curTick()
+     * is left at the last processed event, not advanced to the
+     * boundary.  @return events processed.
      */
     std::uint64_t runBefore(Tick limit);
 
@@ -257,20 +257,6 @@ class EventQueue
             return maxTick;
         Head head = findHead();
         return head.valid ? head.when : maxTick;
-    }
-
-    /**
-     * Jump simulated time forward to @p when on an empty queue.  The
-     * sharded machine uses it to realign every shard's clock to the
-     * common run-start tick (shards finish a run at slightly
-     * different curTicks once their last local events differ).
-     */
-    void
-    advanceTo(Tick when)
-    {
-        snap_assert(live_ == 0, "advanceTo on a non-empty queue");
-        snap_assert(when >= curTick_, "advanceTo into the past");
-        curTick_ = when;
     }
 
     /**

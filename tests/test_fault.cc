@@ -19,6 +19,7 @@
 #include "fault/fault_plan.hh"
 #include "serve/engine.hh"
 #include "tests/test_helpers.hh"
+#include "workload/alpha_beta.hh"
 #include "workload/kb_gen.hh"
 
 namespace snap
@@ -180,6 +181,97 @@ TEST(FaultInjection, SameSeedSameFaultsSameResults)
     EXPECT_GT(injected, 0u)
         << "a 2% message-fault plan over an ICN-heavy program must "
            "actually inject";
+}
+
+/**
+ * Golden fault sweep over every fault kind: for each seed, the
+ * injected pattern, the detection outcome (clean, perturbed but
+ * completing, wedged), the simulated wall time, the results and the
+ * full breakdown, as exact recorded values.  This pins the windowed
+ * fault loop, its watchdog grid and the per-cluster fault streams.
+ */
+TEST(FaultInjection, GoldenFaultSweepIsExact)
+{
+    struct Golden
+    {
+        Tick wallTicks;
+        FaultReport f;
+        std::uint64_t results, breakdown;
+    };
+    // FaultReport fields: enabled, icnDropped, icnCorrupted,
+    // icnDelayed, semStalls, markerFlips, markerSticks, syncWedges,
+    // deadClusters, wedged, watchdogFired, integrityChecked,
+    // integrityFailed.
+    const Golden goldens[12] = {
+        {494667500ull, {1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0},
+         0xee6aa85c9d66970dull, 0xb74a33ee5e2c98c9ull},
+        {494667500ull, {1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0},
+         0xee6aa85c9d66970dull, 0x56dc8ae7ba55c6b0ull},
+        {166127500ull, {1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 0},
+         0xcbf29ce484222325ull, 0xb0f7de4ba5b26be4ull},
+        {171767500ull, {1, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0},
+         0xcbf29ce484222325ull, 0x97655d9d3f9d9ffaull},
+        {494667500ull, {1, 0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0},
+         0xee6aa85c9d66970dull, 0xd6bd981c4cb28ab7ull},
+        {166767500ull, {1, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0},
+         0xcbf29ce484222325ull, 0x2dd3940e977fb256ull},
+        {494667500ull, {1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0},
+         0xee6aa85c9d66970dull, 0x5fa5b0f380ac4f14ull},
+        {167687500ull, {1, 1, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0},
+         0xcbf29ce484222325ull, 0x6cee7ecca621b3a8ull},
+        {494667500ull, {1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0},
+         0xee6aa85c9d66970dull, 0xd6bd981c4cb28ab7ull},
+        {166127500ull, {1, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0},
+         0xcbf29ce484222325ull, 0xf38b44accf663d86ull},
+        {494667500ull, {1, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0},
+         0xee6aa85c9d66970dull, 0xad84138d826e2811ull},
+        {492307500ull, {1, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+         0xee6aa85c9d66970dull, 0x2dc45056f1d2027cull},
+    };
+
+    // β=4 overlapped propagates over 16 round-robin clusters, then a
+    // collect per destination marker.
+    Workload w = makeBetaWorkload(6, 4, 6, 1, true, 0);
+    for (std::uint32_t j = 0; j < 4; ++j) {
+        w.prog.append(Instruction::collectMarker(
+            static_cast<MarkerId>(2 * j + 1)));
+    }
+    MachineConfig cfg;
+    cfg.numClusters = 16;
+    cfg.partition = PartitionStrategy::RoundRobin;
+    cfg.maxNodesPerCluster = capacity::maxNodes;
+
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE("fault seed " + std::to_string(seed));
+        FaultSpec spec = FaultSpec::messageFaults(seed, 0.01);
+        spec.markerFlipRate = 0.3;
+        spec.markerStickRate = 0.3;
+        spec.syncWedgeRate = 0.2;
+        spec.deadClusterRate = 0.2;
+        SnapMachine machine(cfg);
+        machine.loadKb(w.net);
+        machine.installFaults(spec);
+        RunResult r = machine.run(w.prog);
+
+        const Golden &g = goldens[seed - 1];
+        const FaultReport &f = r.fault;
+        EXPECT_EQ(r.wallTicks, g.wallTicks);
+        EXPECT_EQ(f.enabled, g.f.enabled);
+        EXPECT_EQ(f.icnDropped, g.f.icnDropped);
+        EXPECT_EQ(f.icnCorrupted, g.f.icnCorrupted);
+        EXPECT_EQ(f.icnDelayed, g.f.icnDelayed);
+        EXPECT_EQ(f.semStalls, g.f.semStalls);
+        EXPECT_EQ(f.markerFlips, g.f.markerFlips);
+        EXPECT_EQ(f.markerSticks, g.f.markerSticks);
+        EXPECT_EQ(f.syncWedges, g.f.syncWedges);
+        EXPECT_EQ(f.deadClusters, g.f.deadClusters);
+        EXPECT_EQ(f.wedged, g.f.wedged);
+        EXPECT_EQ(f.watchdogFired, g.f.watchdogFired);
+        EXPECT_EQ(f.integrityChecked, g.f.integrityChecked);
+        EXPECT_EQ(f.integrityFailed, g.f.integrityFailed);
+        EXPECT_EQ(test::digestResults(r.results), g.results);
+        EXPECT_EQ(test::digestBreakdown(r.stats), g.breakdown);
+    }
 }
 
 // --- detection soundness -------------------------------------------------

@@ -3,7 +3,7 @@
  * Tests for the binary .kbimg snapshot format: deterministic
  * byte-exact round-trips, equal run results from a deserialized
  * image, and typed rejection of truncated, corrupted, foreign-endian,
- * and future-version files.
+ * future-version, and oversized-count files.
  */
 
 #include <gtest/gtest.h>
@@ -236,6 +236,71 @@ TEST(KbImg, CorruptionIsTypedRejection)
     EXPECT_EQ(loadKbImageFile(f.path(), out, detail),
               KbImgStatus::Ok)
         << detail;
+}
+
+std::uint64_t
+getLe(const std::string &b, std::size_t at, int bytes)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i)
+        v |= std::uint64_t{static_cast<unsigned char>(b[at + i])}
+             << (8 * i);
+    return v;
+}
+
+void
+putLe(std::string &b, std::size_t at, int bytes, std::uint64_t v)
+{
+    for (int i = 0; i < bytes; ++i)
+        b[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+/** A cluster section whose first node claims 0xFFFFFFFF relation
+ *  slots, with the section total and checksum recomputed so only
+ *  the count check can catch it: the decoder must answer with a
+ *  typed rejection, not size an allocation (64 GiB) from the count. */
+TEST(KbImg, HugeSlotCountIsTypedRejection)
+{
+    SemanticNetwork net = makeTreeKb(120, 3);
+    MachineConfig cfg = testConfig();
+    KbImage image(net, cfg);
+    TempFile f("huge_count.kbimg");
+    saveKbImageFile(net, image, cfg.partition, f.path());
+    std::string bad = fileBytes(f.path());
+
+    // Section table: 24-byte header, then 32-byte entries of
+    // u32 id, u32 reserved, u64 offset, u64 size, u64 fnv1a64.
+    constexpr std::uint32_t kClustersSection = 7;
+    std::size_t entry = 0;
+    for (std::size_t i = 0; i < 7; ++i) {
+        if (getLe(bad, 24 + 32 * i, 4) == kClustersSection)
+            entry = 24 + 32 * i;
+    }
+    ASSERT_NE(entry, 0u);
+    const std::size_t off = getLe(bad, entry + 8, 8);
+    const std::size_t size = getLe(bad, entry + 16, 8);
+
+    // Cluster 0: u32 locals, u64 total slots, u32 count per node.
+    ASSERT_GT(getLe(bad, off, 4), 0u);
+    const std::uint64_t total = getLe(bad, off + 4, 8);
+    const std::uint64_t count0 = getLe(bad, off + 12, 4);
+    putLe(bad, off + 12, 4, 0xFFFFFFFFull);
+    putLe(bad, off + 4, 8, total - count0 + 0xFFFFFFFFull);
+
+    std::uint64_t sum = 0xcbf29ce484222325ull;
+    for (std::size_t i = off; i < off + size; ++i) {
+        sum ^= static_cast<unsigned char>(bad[i]);
+        sum *= 0x100000001b3ull;
+    }
+    putLe(bad, entry + 24, 8, sum);
+    writeBytes(f.path(), bad);
+
+    KbImageFile out;
+    std::string detail;
+    EXPECT_EQ(loadKbImageFile(f.path(), out, detail),
+              KbImgStatus::BadSection)
+        << detail;
+    EXPECT_EQ(detail, "malformed cluster section");
 }
 
 TEST(KbImg, TextKbIsNotAnImage)

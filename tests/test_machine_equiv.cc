@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <tuple>
 
 #include "arch/machine.hh"
@@ -335,44 +334,7 @@ INSTANTIATE_TEST_SUITE_P(
 // hot path — event ordering, marker kernels, frontier bookkeeping —
 // shows up here as a hard failure, not just a statistical drift.
 
-std::uint64_t
-fnv(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v;
-    return h * 0x100000001b3ull;
-}
-
-std::uint64_t
-floatBits(float f)
-{
-    std::uint32_t u;
-    std::memcpy(&u, &f, sizeof(u));
-    return u;
-}
-
-std::uint64_t
-digestResults(const ResultSet &rs)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const CollectResult &r : rs) {
-        h = fnv(h, static_cast<std::uint64_t>(r.op));
-        h = fnv(h, r.marker);
-        h = fnv(h, r.color);
-        h = fnv(h, r.rel);
-        for (const CollectedNode &n : r.nodes) {
-            h = fnv(h, n.node);
-            h = fnv(h, floatBits(n.value));
-            h = fnv(h, n.origin);
-        }
-        for (const CollectedLink &l : r.links) {
-            h = fnv(h, l.src);
-            h = fnv(h, l.rel);
-            h = fnv(h, l.dst);
-            h = fnv(h, floatBits(l.weight));
-        }
-    }
-    return h;
-}
+using test::digestResults;
 
 /** Fig. 17-style workload: β=8 overlapped PROPAGATEs + retrieval. */
 Workload
@@ -469,6 +431,120 @@ TEST(MachineGolden, TunedAndSeedHotPathsAgree)
             digestResults(r.results));
     };
     EXPECT_EQ(runWith(false), runWith(true));
+}
+
+// --- recorded whole-run goldens -----------------------------------------
+//
+// Exact recorded values pinning every observable of a run: results,
+// the full breakdown, final marker planes, and the component
+// statistics text.
+
+/** A propagation-heavy program exercising every cross-cluster path:
+ *  searches, overlapped propagates, a barrier, and collects. */
+Workload
+makeExerciser(std::uint32_t beta)
+{
+    Workload w = makeBetaWorkload(6, beta, 6, 1, true, 0);
+    for (std::uint32_t j = 0; j < beta; ++j) {
+        w.prog.append(Instruction::collectMarker(
+            static_cast<MarkerId>(2 * j + 1)));
+    }
+    return w;
+}
+
+MachineConfig
+roundRobinConfig(std::uint32_t clusters)
+{
+    MachineConfig cfg;
+    cfg.numClusters = clusters;
+    cfg.partition = PartitionStrategy::RoundRobin;
+    cfg.maxNodesPerCluster = capacity::maxNodes;
+    return cfg;
+}
+
+/** Cluster counts that do and do not divide the node count evenly. */
+TEST(MachineGolden, ExerciserAcrossClusterCounts)
+{
+    struct Golden
+    {
+        std::uint32_t clusters;
+        Tick wallTicks;
+        std::uint64_t results, breakdown, markers, components;
+    };
+    const Golden goldens[] = {
+        {5, 894177500ull, 0x80bd1a6917c482abull, 0xf255d2b63ec500dfull,
+         0xcbf29ce484222325ull, 0x072e51e57fd29e8eull},
+        {16, 718027500ull, 0x80bd1a6917c482abull, 0x62f2e3cdebfbf5a0ull,
+         0xcbf29ce484222325ull, 0x3886267b7aea60c9ull},
+        {32, 864587500ull, 0x80bd1a6917c482abull, 0xd74dfe4216a895c8ull,
+         0xcbf29ce484222325ull, 0xe32b0728ad77639dull},
+    };
+    Workload w = makeExerciser(6);
+    for (const Golden &g : goldens) {
+        SCOPED_TRACE("clusters " + std::to_string(g.clusters));
+        SnapMachine machine(roundRobinConfig(g.clusters));
+        machine.loadKb(w.net);
+        RunResult r = machine.run(w.prog);
+        EXPECT_EQ(r.wallTicks, g.wallTicks);
+        EXPECT_EQ(digestResults(r.results), g.results);
+        EXPECT_EQ(test::digestBreakdown(r.stats), g.breakdown);
+        EXPECT_EQ(test::digestMarkers(machine.image().flatten(),
+                                      w.net.numNodes()),
+                  g.markers);
+        EXPECT_EQ(test::digestText(machine.formatComponentStats()),
+                  g.components);
+    }
+}
+
+/** Two programs in sequence on one machine: the clock continues from
+ *  the first run's end, and the second fig17 run starts from the
+ *  marker state the first one left (hence its longer wall time). */
+TEST(MachineGolden, BackToBackRunsStayExact)
+{
+    struct Golden
+    {
+        Tick wallTicks, now;
+        std::uint64_t results, breakdown, markers;
+    };
+    auto runTwice = [](const Workload &w, const MachineConfig &cfg,
+                       const Golden (&g)[2]) {
+        SnapMachine machine(cfg);
+        machine.loadKb(w.net);
+        for (int i = 0; i < 2; ++i) {
+            SCOPED_TRACE("run " + std::to_string(i + 1));
+            RunResult r = machine.run(w.prog);
+            EXPECT_EQ(r.wallTicks, g[i].wallTicks);
+            EXPECT_EQ(machine.now(), g[i].now);
+            EXPECT_EQ(digestResults(r.results), g[i].results);
+            EXPECT_EQ(test::digestBreakdown(r.stats), g[i].breakdown);
+            EXPECT_EQ(test::digestMarkers(machine.image().flatten(),
+                                          w.net.numNodes()),
+                      g[i].markers);
+        }
+    };
+    {
+        SCOPED_TRACE("exerciser");
+        const Golden g[2] = {
+            {494667500ull, 494667500ull, 0xee6aa85c9d66970dull,
+             0xd6bd981c4cb28ab7ull, 0xcbf29ce484222325ull},
+            {494667500ull, 989335000ull, 0xee6aa85c9d66970dull,
+             0xd6bd981c4cb28ab7ull, 0xcbf29ce484222325ull},
+        };
+        runTwice(makeExerciser(4), roundRobinConfig(16), g);
+    }
+    {
+        SCOPED_TRACE("fig17");
+        const Golden g[2] = {
+            {8050947500ull, 8050947500ull, 0xa7addb5c77c8e3d5ull,
+             0xc3881f4d57f03ae7ull, 0x52fedf53b31d4765ull},
+            {9880987500ull, 17931935000ull, 0xa7addb5c77c8e3d5ull,
+             0x730430b736421b84ull, 0x52fedf53b31d4765ull},
+        };
+        MachineConfig cfg = MachineConfig::paperSetup();
+        cfg.partition = PartitionStrategy::RoundRobin;
+        cfg.maxNodesPerCluster = capacity::maxNodes;
+        runTwice(makeFig17Golden(), cfg, g);
+    }
 }
 
 } // namespace
