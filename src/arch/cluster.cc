@@ -1,6 +1,7 @@
 #include "arch/cluster.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/host_prof.hh"
 #include "runtime/propagate.hh"
@@ -637,7 +638,8 @@ Cluster::startTask(std::uint32_t i)
         mu.maintaining = true;
         mu.maintIdx = 0;
         mu.maintNodes.clear();
-        kb_.markers().bits(task.instr.m1).collect(mu.maintNodes);
+        std::as_const(kb_.markers()).bits(task.instr.m1)
+            .collect(mu.maintNodes);
         mu.accum = cy(t_.muTaskSetupCycles +
                       statusWords() * t_.muWordOpCycles);
         if (continueMaintenance(i))
@@ -711,6 +713,9 @@ Cluster::executeTask(std::uint32_t i, const Task &task)
     (void)i;
     const Instruction &instr = task.instr;
     MarkerStore &ms = kb_.markers();
+    // Row reads go through the const view: the mutable bits() marks
+    // a plane touched, and reset() clears every touched plane.
+    const MarkerStore &rd = ms;
     std::uint32_t n = kb_.numLocalNodes();
     std::uint32_t words = statusWords();
     Tick dur = cy(t_.muTaskSetupCycles);
@@ -784,7 +789,7 @@ Cluster::executeTask(std::uint32_t i, const Task &task)
         break;
       }
       case Opcode::Propagate: {
-        const BitVector &src = ms.bits(instr.m1);
+        const BitVector &src = rd.bits(instr.m1);
         std::uint32_t sources = 0;
         src.forEachSet([&](std::uint32_t l) {
             float v0 = ms.value(instr.m1, l);
@@ -812,7 +817,7 @@ Cluster::executeTask(std::uint32_t i, const Task &task)
         break;
       }
       case Opcode::MarkerSetColor: {
-        const BitVector &bits = ms.bits(instr.m1);
+        const BitVector &bits = rd.bits(instr.m1);
         bits.forEachSet(
             [&](std::uint32_t l) { kb_.setColor(l, instr.color); });
         dur += cy(words * t_.muWordOpCycles +
@@ -834,10 +839,10 @@ Cluster::executeTask(std::uint32_t i, const Task &task)
         std::uint32_t updates = 0;
         const std::uint32_t hostWords = dst.numWords();
         for (std::uint32_t w = 0; w < hostWords; ++w) {
-            const BitVector::Word w1 = ms.bits(instr.m1).word(w);
+            const BitVector::Word w1 = rd.bits(instr.m1).word(w);
             const BitVector::Word w2 =
                 instr.op == Opcode::NotMarker
-                    ? 0 : ms.bits(instr.m2).word(w);
+                    ? 0 : rd.bits(instr.m2).word(w);
             BitVector::Word w3;
             if (instr.op == Opcode::AndMarker)
                 w3 = w1 & w2;
@@ -911,7 +916,7 @@ Cluster::executeTask(std::uint32_t i, const Task &task)
       }
       case Opcode::FuncMarker: {
         std::uint32_t touched = 0;
-        const BitVector &bits = ms.bits(instr.m1);
+        const BitVector &bits = rd.bits(instr.m1);
         std::vector<LocalNodeId> &marked = funcScratch_;
         marked.clear();
         bits.collect(marked);
@@ -932,7 +937,7 @@ Cluster::executeTask(std::uint32_t i, const Task &task)
         CollectResult res;
         res.op = instr.op;
         res.marker = instr.m1;
-        const BitVector &bits = ms.bits(instr.m1);
+        const BitVector &bits = rd.bits(instr.m1);
         bits.forEachSet([&](std::uint32_t l) {
             res.nodes.push_back(CollectedNode{
                 kb_.globalId(l), ms.value(instr.m1, l),
@@ -949,7 +954,7 @@ Cluster::executeTask(std::uint32_t i, const Task &task)
         res.marker = instr.m1;
         res.rel = instr.rel;
         std::uint32_t rows = 0;
-        const BitVector &bits = ms.bits(instr.m1);
+        const BitVector &bits = rd.bits(instr.m1);
         bits.forEachSet([&](std::uint32_t l) {
             rows += kb_.numRows(l);
             for (const RelSlot &s : kb_.slots(l)) {

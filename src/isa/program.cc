@@ -24,6 +24,28 @@ floatBits(float f)
     return u;
 }
 
+/** The words of one instruction that contentHash digests and
+ *  operator== compares, in digest order. */
+std::array<std::uint64_t, 15>
+contentWords(const Instruction &i)
+{
+    return {static_cast<std::uint64_t>(i.op),
+            i.node,
+            i.endNode,
+            i.rel,
+            i.rel2,
+            i.color,
+            i.m1,
+            i.m2,
+            i.m3,
+            floatBits(i.value),
+            i.rule,
+            static_cast<std::uint64_t>(i.func),
+            static_cast<std::uint64_t>(i.comb),
+            static_cast<std::uint64_t>(i.sfunc.op),
+            floatBits(i.sfunc.imm)};
+}
+
 } // namespace
 
 std::uint64_t
@@ -31,21 +53,8 @@ Program::contentHash() const
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (const Instruction &i : instrs_) {
-        h = fnv1a(h, static_cast<std::uint64_t>(i.op));
-        h = fnv1a(h, i.node);
-        h = fnv1a(h, i.endNode);
-        h = fnv1a(h, i.rel);
-        h = fnv1a(h, i.rel2);
-        h = fnv1a(h, i.color);
-        h = fnv1a(h, i.m1);
-        h = fnv1a(h, i.m2);
-        h = fnv1a(h, i.m3);
-        h = fnv1a(h, floatBits(i.value));
-        h = fnv1a(h, i.rule);
-        h = fnv1a(h, static_cast<std::uint64_t>(i.func));
-        h = fnv1a(h, static_cast<std::uint64_t>(i.comb));
-        h = fnv1a(h, static_cast<std::uint64_t>(i.sfunc.op));
-        h = fnv1a(h, floatBits(i.sfunc.imm));
+        for (std::uint64_t w : contentWords(i))
+            h = fnv1a(h, w);
     }
     for (std::uint32_t r = 0; r < rules_.size(); ++r) {
         const PropRule &rule = rules_.rule(static_cast<RuleId>(r));
@@ -59,6 +68,31 @@ Program::contentHash() const
         }
     }
     return h;
+}
+
+bool
+Program::operator==(const Program &other) const
+{
+    if (instrs_.size() != other.instrs_.size() ||
+        rules_.size() != other.rules_.size())
+        return false;
+    for (std::size_t k = 0; k < instrs_.size(); ++k) {
+        if (contentWords(instrs_[k]) != contentWords(other.instrs_[k]))
+            return false;
+    }
+    for (std::uint32_t r = 0; r < rules_.size(); ++r) {
+        const PropRule &a = rules_.rule(static_cast<RuleId>(r));
+        const PropRule &b = other.rules_.rule(static_cast<RuleId>(r));
+        if (a.maxSteps != b.maxSteps ||
+            a.segments.size() != b.segments.size())
+            return false;
+        for (std::size_t s = 0; s < a.segments.size(); ++s) {
+            if (a.segments[s].star != b.segments[s].star ||
+                a.segments[s].rels != b.segments[s].rels)
+                return false;
+        }
+    }
+    return true;
 }
 
 std::array<std::uint64_t,

@@ -84,6 +84,15 @@ class Program
      */
     std::uint64_t contentHash() const;
 
+    /**
+     * Content equality: exactly the fields contentHash digests
+     * (every instruction operand, floats by bit pattern; each rule's
+     * segments and maxSteps), never rule names.  The serving layer's
+     * batch former requires it on top of a hash match, so a 64-bit
+     * collision cannot make two programs share an answer.
+     */
+    bool operator==(const Program &other) const;
+
     /** Instruction count per profiling category. */
     std::array<std::uint64_t,
                static_cast<std::size_t>(InstrCategory::NumCategories)>

@@ -7,11 +7,19 @@
  * bit-packed tables (arch/kb_image); this class is the flat,
  * machine-independent equivalent: 64 complex markers (float value +
  * origin binding) and 64 binary markers per node (paper Fig. 4).
+ *
+ * A query uses a handful of the 128 planes, so the store keeps a
+ * touched-plane mask: every mutator marks the plane it writes, and
+ * reset() clears only the marked planes.  An unmarked plane is always
+ * in its freshly constructed state (no bit set, no value plane), so a
+ * reset costs what was written since the last one, and every plane
+ * reads after it exactly as in a new store.
  */
 
 #ifndef SNAP_RUNTIME_MARKER_STORE_HH
 #define SNAP_RUNTIME_MARKER_STORE_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "common/bitvector.hh"
@@ -43,6 +51,7 @@ class MarkerStore
     void
     setBit(MarkerId m, NodeId n)
     {
+        touch(m);
         bits_[m].set(n);
     }
 
@@ -50,6 +59,7 @@ class MarkerStore
     void
     set(MarkerId m, NodeId n, float value, NodeId origin)
     {
+        touch(m);
         bits_[m].set(n);
         if (isComplexMarker(m)) {
             auto &vals = plane(m);
@@ -61,6 +71,7 @@ class MarkerStore
     void
     clear(MarkerId m, NodeId n)
     {
+        touch(m);
         bits_[m].clear(n);
     }
 
@@ -84,6 +95,7 @@ class MarkerStore
     void
     setValue(MarkerId m, NodeId n, float value, NodeId origin)
     {
+        touch(m);
         if (isComplexMarker(m)) {
             auto &vals = plane(m);
             vals[n].value = value;
@@ -91,8 +103,15 @@ class MarkerStore
         }
     }
 
-    /** Direct row access for word-parallel boolean ops. */
-    BitVector &bits(MarkerId m) { return bits_[m]; }
+    /** Direct row access for word-parallel boolean ops.  The mutable
+     *  overload marks the plane touched: read through a const store
+     *  to leave the mask alone. */
+    BitVector &
+    bits(MarkerId m)
+    {
+        touch(m);
+        return bits_[m];
+    }
     const BitVector &bits(MarkerId m) const { return bits_[m]; }
 
     std::uint32_t count(MarkerId m) const { return bits_[m].count(); }
@@ -100,19 +119,42 @@ class MarkerStore
     void
     clearAll(MarkerId m)
     {
+        touch(m);
         bits_[m].clearAll();
     }
 
+    /** True if plane @p m was written since the last reset(). */
+    bool
+    touched(MarkerId m) const
+    {
+        return (touched_[m / 64] >> (m % 64)) & 1u;
+    }
+
+    /** Clear every touched plane (bit row and value plane) and empty
+     *  the mask. */
     void
     reset()
     {
-        for (auto &b : bits_)
-            b.clearAll();
-        for (auto &v : values_)
-            v.clear();
+        for (std::uint32_t w = 0; w < 2; ++w) {
+            for (std::uint64_t t = touched_[w]; t; t &= t - 1) {
+                const auto m = static_cast<MarkerId>(
+                    w * 64 + static_cast<std::uint32_t>(
+                                 __builtin_ctzll(t)));
+                bits_[m].clearAll();
+                if (isComplexMarker(m))
+                    values_[m].clear();
+            }
+            touched_[w] = 0;
+        }
     }
 
   private:
+    void
+    touch(MarkerId m)
+    {
+        touched_[m / 64] |= std::uint64_t{1} << (m % 64);
+    }
+
     /** Lazily allocated value plane for complex marker @p m. */
     std::vector<MarkerValue> &
     plane(MarkerId m)
@@ -126,6 +168,10 @@ class MarkerStore
     std::uint32_t numNodes_;
     std::vector<BitVector> bits_;
     std::vector<std::vector<MarkerValue>> values_;
+    static_assert(capacity::numMarkers == 2 * 64);
+    /** Planes written since the last reset(): bit m % 64 of word
+     *  m / 64 (complex planes in word 0, binary in word 1). */
+    std::uint64_t touched_[2] = {0, 0};
 };
 
 } // namespace snap

@@ -1,6 +1,7 @@
 #include "runtime/propagate.hh"
 
 #include <deque>
+#include <utility>
 
 #include "common/logging.hh"
 #include "runtime/frontier_map.hh"
@@ -107,7 +108,7 @@ propagateFunctional(const SemanticNetwork &net, MarkerStore &store,
 
     // Seed from every node currently holding marker-1, in node order
     // (the MU scans the m1 status table row by row, ctz per word).
-    const BitVector &src_bits = store.bits(m1);
+    const BitVector &src_bits = std::as_const(store).bits(m1);
     src_bits.forEachSet([&](std::uint32_t u) {
         ++st.sources;
         float v0 = store.value(m1, u);

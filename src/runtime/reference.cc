@@ -1,5 +1,7 @@
 #include "runtime/reference.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace snap
@@ -246,7 +248,7 @@ ReferenceInterpreter::doMarkerMaintenance(const Instruction &i)
     // links it creates itself (the end node may gain the marker's
     // relation but never holds the marker).
     std::vector<NodeId> marked;
-    store_.bits(i.m1).collect(marked);
+    std::as_const(store_).bits(i.m1).collect(marked);
 
     work_.wordOps = (net_.numNodes() + capacity::wordBits - 1) /
                     capacity::wordBits;

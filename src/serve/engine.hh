@@ -26,8 +26,9 @@
  *    in its response.
  *
  * Coalescing (ServeConfig::maxBatchLanes > 1): a worker that pops a
- * stateless request gulps queued stateless requests with the same
- * Program::contentHash (waiting up to batchWindowMs for more), runs
+ * stateless request gulps queued stateless requests with an equal
+ * program (Program::contentHash prefilters, Program::operator==
+ * decides; waiting up to batchWindowMs for more), runs
  * the program once over cleared markers, and hands every member of
  * the group that one answer.  Same program over identical cleared
  * state is the same run, so each member's results and simulated
@@ -37,9 +38,12 @@
  *
  * Non-goals in this layer: running programs with structural KB edits
  * (CREATE/DELETE) outside a session is undefined — edits would make
- * one replica diverge from the others.  Programs are assumed
- * assembled and validated on the submission side; a malformed
- * program is a fatal user error, as everywhere else in the tree.
+ * one replica diverge from the others.  Programs are assembled on
+ * the submission side.  Admission range-checks every operand the
+ * machine indexes by against the serving image (checkOperands) and
+ * answers an out-of-range one with status Invalid, so no request can
+ * abort a replica.  Barrier discipline is still the client's
+ * responsibility (validateProgram).
  */
 
 #ifndef SNAP_SERVE_ENGINE_HH
@@ -59,6 +63,7 @@
 #include "common/metrics_registry.hh"
 #include "fault/fault_plan.hh"
 #include "kb/semantic_network.hh"
+#include "runtime/validate.hh"
 #include "serve/metrics.hh"
 #include "serve/request.hh"
 #include "serve/request_queue.hh"
@@ -189,7 +194,8 @@ class ServeEngine
      * Admission control.  Assigns id/seed, applies the default
      * deadline, and enqueues.  The returned future resolves with the
      * response — immediately, with status Rejected, when the queue
-     * is full or the engine is shut down.
+     * is full or the engine is shut down, or with status Invalid
+     * when an operand is out of range for the serving image.
      */
     std::future<Response> submit(Request req);
 
@@ -300,8 +306,7 @@ class ServeEngine
         /** Stateless and batching enabled: a gulp candidate. */
         bool batchable = false;
         /** Program::contentHash, hoisted to admission (stateless
-         *  only) — workers group on it without touching the queue's
-         *  programs. */
+         *  only) — workers compare programs only on a hash match. */
         std::uint64_t progHash = 0;
         /** Exactly-once delivery: set by whoever answers first — the
          *  serving worker or the shutdown watchdog. */
@@ -344,6 +349,9 @@ class ServeEngine
     void forceFailHung();
 
     ServeConfig cfg_;
+    /** Id spaces of the serving image's network; admission range-
+     *  checks every request against them (under admitMu_). */
+    OperandLimits limits_;
     std::unique_ptr<KbImage> master_;
     /** Functional shadow of the KB for integrity checks (only
      *  allocated when fault injection is armed). */

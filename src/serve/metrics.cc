@@ -60,13 +60,15 @@ MetricsSnapshot::exportMetrics(MetricsRegistry &reg,
     };
 
     cnt("snap_serve_submitted_total", submitted,
-        "Requests admitted (including rejected and shed)");
+        "Requests admitted (including rejected, invalid and shed)");
     cnt("snap_serve_completed_total", completed,
         "Requests answered Ok");
     cnt("snap_serve_rejected_total", rejected,
         "Requests rejected at admission (backpressure)");
     cnt("snap_serve_timed_out_total", timedOut,
         "Requests expired before service");
+    cnt("snap_serve_invalid_total", invalid,
+        "Requests refused with an out-of-range operand");
     cnt("snap_serve_batches_total", batches,
         "Coalesced groups served (>= 2 requests)");
     cnt("snap_serve_batched_requests_total", batchedRequests,
@@ -145,6 +147,7 @@ metricsJson(const MetricsSnapshot &s)
     os << "  \"completed\": " << s.completed << ",\n";
     os << "  \"rejected\": " << s.rejected << ",\n";
     os << "  \"timed_out\": " << s.timedOut << ",\n";
+    os << "  \"invalid\": " << s.invalid << ",\n";
     os << "  \"batching\": {\"batches\": " << s.batches
        << ", \"batched_requests\": " << s.batchedRequests
        << ", \"mean_lanes\": "

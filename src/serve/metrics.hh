@@ -66,6 +66,8 @@ struct MetricsSnapshot
     std::uint64_t completed = 0;
     std::uint64_t rejected = 0;
     std::uint64_t timedOut = 0;
+    /** Requests refused at admission with an out-of-range operand. */
+    std::uint64_t invalid = 0;
 
     /** Coalesced groups served (>= 2 requests; solo runs are not
      *  batches). */
@@ -167,6 +169,15 @@ class ServeMetrics
         std::lock_guard<std::mutex> lock(mu_);
         ++submitted_;
         ++rejected_;
+    }
+
+    /** Request refused at admission: an operand is out of range. */
+    void
+    noteInvalid()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++submitted_;
+        ++invalid_;
     }
 
     void
@@ -308,6 +319,7 @@ class ServeMetrics
         s.completed = completed_;
         s.rejected = rejected_;
         s.timedOut = timedOut_;
+        s.invalid = invalid_;
         s.batches = batches_;
         s.batchedRequests = batchedRequests_;
         s.faultsDetected = faultsDetected_;
@@ -339,6 +351,7 @@ class ServeMetrics
     std::uint64_t completed_ = 0;
     std::uint64_t rejected_ = 0;
     std::uint64_t timedOut_ = 0;
+    std::uint64_t invalid_ = 0;
     std::uint64_t batches_ = 0;
     std::uint64_t batchedRequests_ = 0;
     std::uint64_t faultsDetected_ = 0;

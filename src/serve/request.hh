@@ -53,6 +53,10 @@ enum class RequestStatus
      * partially executed; no results are attached.
      */
     Hung,
+    /** Refused at admission: an operand (node, marker, rule,
+     *  relation or colour id) is out of range for the serving
+     *  image.  Never ran; no results are attached. */
+    Invalid,
 };
 
 const char *requestStatusName(RequestStatus s);

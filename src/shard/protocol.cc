@@ -398,7 +398,7 @@ decodeResponse(WireReader &r, ResponseFrame &f)
     f.retries = r.u32();
     f.faultDetected = r.u8() != 0;
     if (r.failed() ||
-        status > static_cast<std::uint8_t>(serve::RequestStatus::Hung))
+        status > static_cast<std::uint8_t>(serve::RequestStatus::Invalid))
         return false;
     f.status = static_cast<serve::RequestStatus>(status);
     if (!decodeResults(r, f.results))

@@ -464,11 +464,13 @@ main(int argc, char **argv)
     }
     router.drain();
 
-    std::uint64_t ok = 0, bad = 0;
+    std::uint64_t ok = 0, invalid = 0, bad = 0;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const shard::ResponseFrame &resp = responses[i];
         if (resp.status == serve::RequestStatus::Ok)
             ++ok;
+        else if (resp.status == serve::RequestStatus::Invalid)
+            ++invalid;
         else
             ++bad;
         if (quiet)
@@ -483,10 +485,11 @@ main(int argc, char **argv)
                     ticksToUs(resp.wallTicks), resp.queueMs,
                     resp.batchLanes);
     }
-    std::printf("\nrouted %llu ok, %llu failed over %u shard(s), "
-                "%llu re-routed, %llu hedged, %llu sessions "
+    std::printf("\nrouted %llu ok, %llu invalid, %llu failed over %u "
+                "shard(s), %llu re-routed, %llu hedged, %llu sessions "
                 "migrated, %llu failed over\n",
                 static_cast<unsigned long long>(ok),
+                static_cast<unsigned long long>(invalid),
                 static_cast<unsigned long long>(bad),
                 router.numShards(),
                 static_cast<unsigned long long>(

@@ -622,11 +622,12 @@ main(int argc, char **argv)
     }
 
     serve::MetricsSnapshot m = engine.metricsSnapshot();
-    std::printf("\nserved %llu ok, %llu rejected, %llu timed out "
-                "(%.1f qps host, sim makespan %.1f us)\n",
+    std::printf("\nserved %llu ok, %llu rejected, %llu timed out, "
+                "%llu invalid (%.1f qps host, sim makespan %.1f us)\n",
                 static_cast<unsigned long long>(m.completed),
                 static_cast<unsigned long long>(m.rejected),
                 static_cast<unsigned long long>(m.timedOut),
+                static_cast<unsigned long long>(m.invalid),
                 m.throughputQps(),
                 ticksToUs(m.simMakespanTicks()));
     if (m.batches > 0) {

@@ -370,6 +370,53 @@ TEST(FaultDetection, MarkerFaultsAreCaughtByTheShadow)
         << "ten seeded single-bit marker flips with none detected";
 }
 
+/** Marker flips and sticks land on random planes, most of which the
+ *  query never writes; the fresh-query reset must still clear them,
+ *  so every plane reads as on a freshly loaded replica. */
+TEST(FaultDetection, ResetClearsEveryPlaneAFaultWrote)
+{
+    SemanticNetwork net = makeTreeKb(120, 3);
+    RelationType inc = net.relationId("includes");
+    Program q = countQuery(0, inc);
+
+    FaultSpec spec;
+    spec.markerFlipRate = 1.0;
+    spec.markerStickRate = 1.0;
+    spec.scheduleWindowTicks = 5'000'000;  // land inside the run
+    std::uint64_t faults = 0;
+    std::uint32_t strayPlanes = 0;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        spec.seed = seed;
+        SnapMachine m(smallConfig());
+        m.loadKb(net);
+        m.installFaults(spec);
+        RunResult r = m.run(q);
+        faults += r.fault.markerFlips + r.fault.markerSticks;
+        MarkerStore before = m.image().flatten();
+        for (std::uint32_t p = 2; p < capacity::numMarkers; ++p)
+            strayPlanes += before.count(static_cast<MarkerId>(p)) > 0;
+
+        m.image().resetMarkers();
+        for (ClusterId c = 0; c < m.image().numClusters(); ++c) {
+            const MarkerStore &ms = m.image().cluster(c).markers();
+            for (std::uint32_t p = 0; p < capacity::numMarkers; ++p) {
+                auto mid = static_cast<MarkerId>(p);
+                EXPECT_FALSE(ms.touched(mid)) << "m" << p;
+                EXPECT_EQ(ms.count(mid), 0u) << "m" << p;
+                for (NodeId l = 0; l < ms.numNodes(); ++l) {
+                    ASSERT_EQ(ms.value(mid, l), 0.0f) << "m" << p;
+                    ASSERT_EQ(ms.origin(mid, l), invalidNode)
+                        << "m" << p;
+                }
+            }
+        }
+    }
+    EXPECT_GE(faults, 10u);
+    EXPECT_GT(strayPlanes, 0u)
+        << "no fault left a bit outside the query's planes 0-1";
+}
+
 // --- wedges, watchdog, repair --------------------------------------------
 
 TEST(FaultRecovery, WedgeIsDetectedAndRepairable)

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "arch/exec_stats.hh"
 #include "arch/machine.hh"
 #include "runtime/marker_store.hh"
@@ -74,6 +77,91 @@ TEST(MarkerStoreTest, ResetDropsEverything)
     EXPECT_EQ(ms.count(1), 0u);
     EXPECT_EQ(ms.count(65), 0u);
     EXPECT_FLOAT_EQ(ms.value(1, 1), 0.0f);
+}
+
+TEST(MarkerStoreTest, MaskNamesWrittenPlanesAndReadsLeaveItAlone)
+{
+    MarkerStore ms(70);
+    const MarkerStore &ro = ms;
+    ms.set(3, 4, 1.5f, 9);
+    ms.setBit(70, 69);
+    EXPECT_EQ(ro.bits(5).count(), 0u);
+    EXPECT_EQ(ro.count(6), 0u);
+    EXPECT_FLOAT_EQ(ro.value(7, 1), 0.0f);
+    EXPECT_FALSE(ro.test(8, 2));
+    for (std::uint32_t m = 0; m < capacity::numMarkers; ++m) {
+        EXPECT_EQ(ms.touched(static_cast<MarkerId>(m)),
+                  m == 3 || m == 70) << "m" << m;
+    }
+
+    ms.reset();
+    for (std::uint32_t m = 0; m < capacity::numMarkers; ++m)
+        EXPECT_FALSE(ms.touched(static_cast<MarkerId>(m))) << "m" << m;
+    EXPECT_FALSE(ms.test(3, 4));
+    EXPECT_FALSE(ms.test(70, 69));
+    EXPECT_EQ(ms.origin(3, 4), invalidNode);
+
+    // The mutable row accessor marks its plane even before a write.
+    ms.bits(127);
+    ms.clearAll(64);
+    ms.clear(0, 1);
+    ms.setValue(63, 2, 4.0f, 2);
+    for (std::uint32_t m = 0; m < capacity::numMarkers; ++m) {
+        EXPECT_EQ(ms.touched(static_cast<MarkerId>(m)),
+                  m == 127 || m == 64 || m == 0 || m == 63)
+            << "m" << m;
+    }
+}
+
+/** Random writes through every mutator, then reset(): each plane must
+ *  equal a freshly built store's (bits, value, origin), and before the
+ *  reset the mask names exactly the planes written. */
+TEST(MarkerStoreTest, ResetRestoresEveryPlaneAfterRandomWrites)
+{
+    constexpr std::uint32_t kNodes = 131;  // a partial tail word
+    const MarkerStore fresh(kNodes);
+    MarkerStore ms(kNodes);
+    std::mt19937_64 rng(0x5eed);
+    for (int round = 0; round < 40; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        bool written[capacity::numMarkers] = {};
+        const int writes = static_cast<int>(rng() % 24);
+        for (int k = 0; k < writes; ++k) {
+            auto m =
+                static_cast<MarkerId>(rng() % capacity::numMarkers);
+            auto n = static_cast<NodeId>(rng() % kNodes);
+            const float v = static_cast<float>(rng() % 100) / 4.0f;
+            written[m] = true;
+            switch (rng() % 7) {
+              case 0: ms.set(m, n, v, n); break;
+              case 1: ms.setBit(m, n); break;
+              case 2: ms.clear(m, n); break;
+              case 3: ms.setValue(m, n, v, n); break;
+              case 4: ms.clearAll(m); break;
+              case 5: ms.bits(m).setAll(); break;
+              default: ms.bits(m).setWord(n / 64, rng()); break;
+            }
+        }
+        for (std::uint32_t m = 0; m < capacity::numMarkers; ++m) {
+            EXPECT_EQ(ms.touched(static_cast<MarkerId>(m)), written[m])
+                << "m" << m;
+        }
+
+        ms.reset();
+        for (std::uint32_t m = 0; m < capacity::numMarkers; ++m) {
+            auto mid = static_cast<MarkerId>(m);
+            EXPECT_FALSE(ms.touched(mid)) << "m" << m;
+            EXPECT_EQ(ms.count(mid), 0u) << "m" << m;
+            for (NodeId n = 0; n < kNodes; ++n) {
+                ASSERT_EQ(ms.test(mid, n), fresh.test(mid, n))
+                    << "m" << m << " n" << n;
+                ASSERT_EQ(ms.value(mid, n), fresh.value(mid, n))
+                    << "m" << m << " n" << n;
+                ASSERT_EQ(ms.origin(mid, n), fresh.origin(mid, n))
+                    << "m" << m << " n" << n;
+            }
+        }
+    }
 }
 
 // --- ActiveTimer -----------------------------------------------------------

@@ -202,6 +202,25 @@ TEST(ShardProtocol, ResponseRoundTripPreservesResults)
     EXPECT_EQ(out.results[0].links, in.results[0].links);
 }
 
+TEST(ShardProtocol, EveryStatusCrossesTheWireAndNoOtherDoes)
+{
+    for (std::uint8_t v = 0; v < 8; ++v) {
+        shard::ResponseFrame in;
+        in.id = v;
+        in.status = static_cast<serve::RequestStatus>(v);
+        WireWriter w;
+        shard::encodeResponse(w, in);
+        WireReader r(w.bytes().data(), w.bytes().size());
+        shard::ResponseFrame out;
+        const bool known =
+            v <= static_cast<std::uint8_t>(serve::RequestStatus::Invalid);
+        ASSERT_EQ(shard::decodeResponse(r, out), known) << int(v);
+        if (known) {
+            EXPECT_EQ(out.status, in.status);
+        }
+    }
+}
+
 TEST(ShardProtocol, MalformedBytesAreTypedRejections)
 {
     shard::RequestFrame in;
@@ -1346,6 +1365,54 @@ programsOwnedBy(const HashRing &ring, std::uint32_t shard,
             out.push_back(p);
     }
     return out;
+}
+
+/** The query of death through a replicated fleet: the owner answers
+ *  Invalid, the router delivers it without trying the other replica,
+ *  and both shards keep serving. */
+TEST_F(ShardFleetTest, OutOfRangeNodeIsInvalidOnEveryReplica)
+{
+    TempPath sock0("qod0.sock"), sock1("qod1.sock");
+    TestShard s0(image_file_->path(), "unix:" + sock0.path());
+    TestShard s1(image_file_->path(), "unix:" + sock1.path());
+
+    shard::RouterConfig rcfg;
+    rcfg.shards = {"unix:" + sock0.path(), "unix:" + sock1.path()};
+    rcfg.replication = 2;
+    ShardRouter router(rcfg);
+    std::string detail;
+    ASSERT_TRUE(router.connect(detail)) << detail;
+
+    RelationType inc = net_.relationId("includes");
+    for (const char *sid : {"", "qod-session"}) {
+        SCOPED_TRACE(std::string("session '") + sid + "'");
+        shard::RouterRequest req;
+        req.sessionId = sid;
+        req.prog = countQuery(123456789, inc);
+        shard::ResponseFrame resp = submitAndWait(router, std::move(req));
+        EXPECT_EQ(resp.status, serve::RequestStatus::Invalid);
+        EXPECT_TRUE(resp.results.empty());
+    }
+    EXPECT_EQ(router.rerouteCount(), 0u);
+    EXPECT_EQ(router.failoverCount(), 0u);
+
+    for (std::uint32_t s = 0; s < 2; ++s) {
+        std::string err;
+        EXPECT_TRUE(router.probeShard(s, err)) << err;
+        EXPECT_TRUE(router.shardHealthy(s));
+    }
+    // Enough distinct programs that the ring sends some to each shard.
+    for (NodeId n = 0; n < 16; ++n) {
+        shard::RouterRequest req;
+        req.prog = countQuery(n * 17 % 300, inc);
+        const Program prog = req.prog;
+        shard::ResponseFrame resp = submitAndWait(router, std::move(req));
+        ASSERT_EQ(resp.status, serve::RequestStatus::Ok) << "node " << n;
+        RunResult ref = reference(prog);
+        test::expectSameResults(resp.results, ref.results);
+        EXPECT_EQ(resp.wallTicks, ref.wallTicks);
+    }
+    EXPECT_EQ(router.rerouteCount(), 0u);
 }
 
 TEST_F(ShardFleetTest, MidFrameEofFailsOverWithTypedError)
