@@ -173,7 +173,9 @@ KbImage::captureMarkers() const
         auto mid = static_cast<MarkerId>(m);
         bool any = false;
         for (const auto &ckb : clusters_) {
-            ckb->markers().bits(mid).forEachSet([&](std::uint32_t l) {
+            // Through the const view: a capture must not mark planes.
+            const MarkerStore &ms = ckb->markers();
+            ms.bits(mid).forEachSet([&](std::uint32_t l) {
                 row.set(ckb->globalId(l));
                 any = true;
             });
