@@ -78,11 +78,11 @@ Cluster::Cluster(MachineContext &ctx, ClusterId id,
 // ---------------------------------------------------------------------------
 
 void
-Cluster::applyDeliverable(Deliverable &&d)
+Cluster::applyDeliverable(const Deliverable &d)
 {
     switch (d.kind) {
       case WireKind::IcnMsg:
-        dimInbox_[d.dim].push_back(std::move(d.msg));
+        dimInbox_[d.dim].push_back(d.msg);
         kickCu();
         break;
       case WireKind::IcnCredit:

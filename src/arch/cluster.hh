@@ -124,8 +124,9 @@ class Cluster : public ClockedObject
 
     // --- wire interface -----------------------------------------------------
 
-    /** Apply one arrived deliverable (wire pump callback). */
-    void applyDeliverable(Deliverable &&d);
+    /** Apply one arrived deliverable (wire callback; a broadcast's
+     *  payload is shared with every other cluster). */
+    void applyDeliverable(const Deliverable &d);
 
     // --- unit wakeups ------------------------------------------------------
 

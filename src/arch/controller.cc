@@ -12,10 +12,12 @@ Controller::Controller(MachineContext &ctx, std::uint32_t num_clusters)
       ctx_(ctx),
       t_(ctx.cfg->t),
       numClusters_(num_clusters),
-      instrCredits_(num_clusters, ctx.cfg->t.instrQueueDepth),
+      instrReturned_(num_clusters, 0),
+      creditLevels_(ctx.cfg->t.instrQueueDepth + 1, 0),
       collectParts_(num_clusters),
       collectHave_(num_clusters, false)
 {
+    creditLevels_[0] = num_clusters;  // none returned, none issued
     scpEvent_ = std::make_unique<EventFunctionWrapper>(
         [this] {
             switch (phase_) {
@@ -49,10 +51,9 @@ Controller::startProgram(const Program &prog)
     if (prog.size() > 0xffff)
         snap_fatal("program of %zu instructions exceeds the 16-bit "
                    "sequence space", prog.size());
-    for (std::uint32_t cr : instrCredits_)
-        snap_assert(cr == t_.instrQueueDepth,
-                    "startProgram with %u instr credits outstanding",
-                    t_.instrQueueDepth - cr);
+    snap_assert(creditLevels_[instrIssued_ % creditLevels_.size()] ==
+                    numClusters_,
+                "startProgram with instr credits outstanding");
     prog_ = &prog;
     instrIdx_ = 0;
     phase_ = Phase::Issue;
@@ -65,12 +66,11 @@ Controller::startProgram(const Program &prog)
 }
 
 void
-Controller::sendToCluster(ClusterId c, Deliverable &&d)
+Controller::broadcast(Deliverable &&d)
 {
-    d.receiver = c;
     d.sender = numClusters_;
     d.senderSeq = wireSeq_++;
-    ctx_.wire->send(std::move(d));
+    ctx_.wire->broadcast(std::move(d));
 }
 
 void
@@ -102,11 +102,9 @@ Controller::kickScp()
     // Global-bus backpressure: every cluster must have queue space.
     // Credits track the queues exactly (one returns per PU pop), so
     // "any cluster out of credits" == "some queue full".
-    for (std::uint32_t cr : instrCredits_) {
-        if (cr == 0) {
-            waitingForSpace_ = true;
-            return;
-        }
+    if (busBlocked()) {
+        waitingForSpace_ = true;
+        return;
     }
 
     // The broadcast occupies the bus for the full word burst; the
@@ -116,14 +114,12 @@ Controller::kickScp()
     phase_ = Phase::Broadcasting;
     Tick dur = broadcastTicks();
     ctx_.stats->broadcastTicks += dur;
-    for (ClusterId c = 0; c < numClusters_; ++c) {
-        --instrCredits_[c];
-        Deliverable d;
-        d.kind = WireKind::Instr;
-        d.when = curTick() + dur;
-        d.qi = QueuedInstr{instr, seq};
-        sendToCluster(c, std::move(d));
-    }
+    ++instrIssued_;
+    Deliverable d;
+    d.kind = WireKind::Instr;
+    d.when = curTick() + dur;
+    d.qi = QueuedInstr{instr, seq};
+    broadcast(std::move(d));
     scheduleRel(scpEvent_.get(), dur);
 }
 
@@ -198,12 +194,10 @@ Controller::detectionDone()
     phase_ = Phase::BarrierRelease;
     Tick dur = broadcastTicks();
     ctx_.stats->syncTicks += dur;
-    for (ClusterId c = 0; c < numClusters_; ++c) {
-        Deliverable d;
-        d.kind = WireKind::BarrierRelease;
-        d.when = curTick() + dur;
-        sendToCluster(c, std::move(d));
-    }
+    Deliverable d;
+    d.kind = WireKind::BarrierRelease;
+    d.when = curTick() + dur;
+    broadcast(std::move(d));
     scheduleRel(scpEvent_.get(), dur);
 }
 
@@ -304,19 +298,23 @@ Controller::collectReadDone()
 }
 
 void
-Controller::applyDeliverable(Deliverable &&d)
+Controller::applyDeliverable(Deliverable &d)
 {
     switch (d.kind) {
-      case WireKind::InstrCredit:
+      case WireKind::InstrCredit: {
         snap_assert(d.cluster < numClusters_ &&
-                        instrCredits_[d.cluster] < t_.instrQueueDepth,
+                        instrReturned_[d.cluster] < instrIssued_,
                     "stray instr credit from cluster %u", d.cluster);
-        ++instrCredits_[d.cluster];
+        std::uint64_t &returned = instrReturned_[d.cluster];
+        --creditLevels_[returned % creditLevels_.size()];
+        ++returned;
+        ++creditLevels_[returned % creditLevels_.size()];
         if (waitingForSpace_ && phase_ == Phase::Issue) {
             waitingForSpace_ = false;
             kickScp();
         }
         break;
+      }
       case WireKind::CollectReady:
         snap_assert(phase_ == Phase::CollectWait ||
                         phase_ == Phase::CollectRead,

@@ -10,10 +10,10 @@
  * (AND-tree + tiered counter scan) and serial result collection from
  * each cluster's dual-port memory — the COLLECT overhead of Fig. 21.
  *
- * The controller is a wire endpoint like the clusters: broadcasts and
- * barrier releases leave as Deliverables timed with the broadcast-bus
- * latency, and the array talks back the same way (instruction-queue
- * credits, collect buffers).  The controller never touches cluster
+ * The controller is a wire endpoint like the clusters: an instruction
+ * broadcast or a barrier release leaves as one wire broadcast timed
+ * with the bus latency, and the array talks back with point-to-point
+ * deliverables (instruction-queue credits, collect buffers).  The controller never touches cluster
  * state directly.  Barrier completion and quiescence are *predicates
  * over the sync tree*: the tree's transition callbacks report them
  * here with the exact mutation tick t*, and the detection procedure
@@ -51,7 +51,7 @@ class Controller : public ClockedObject
     ResultSet takeResults() { return std::move(results_); }
 
     // --- wire endpoint (InstrCredit / CollectReady) ----------------------
-    void applyDeliverable(Deliverable &&d);
+    void applyDeliverable(Deliverable &d);
 
     // --- sync predicates, reported by the machine ------------------------
 
@@ -88,7 +88,17 @@ class Controller : public ClockedObject
     void collectAdvance();
     void collectReadDone();
     void finishProgram(Tick when);
-    void sendToCluster(ClusterId c, Deliverable &&d);
+    /** Put @p d on the global bus to every cluster. */
+    void broadcast(Deliverable &&d);
+    /** Some cluster's instruction queue is full (the bus stalls). */
+    bool
+    busBlocked() const
+    {
+        // Full means instrIssued_ - depth credits returned, which
+        // shares its ring slot with instrIssued_ + 1.
+        return creditLevels_[(instrIssued_ + 1) % creditLevels_.size()] !=
+               0;
+    }
 
     Tick ctrlCy(std::uint64_t cycles) const
     {
@@ -119,9 +129,18 @@ class Controller : public ClockedObject
     Tick finishTick_ = 0;
     bool waitingForSpace_ = false;
 
-    /** Outstanding instruction-queue slots per cluster (the global
-     *  bus stalls while any cluster is out of credits). */
-    std::vector<std::uint32_t> instrCredits_;
+    /**
+     * Instruction-queue flow control.  Cluster c holds instrIssued_ -
+     * instrReturned_[c] instructions; the bus stalls while any holds
+     * instrQueueDepth.  creditLevels_[v % (depth + 1)] counts the
+     * clusters that have returned v credits.  Every such v lies in
+     * [instrIssued_ - depth, instrIssued_], so the ring never aliases,
+     * and a broadcast updates the whole array's credit state with one
+     * increment.
+     */
+    std::uint64_t instrIssued_ = 0;
+    std::vector<std::uint64_t> instrReturned_;
+    std::vector<std::uint32_t> creditLevels_;
     std::uint64_t wireSeq_ = 0;
 
     // Collect state: parts stream in over the wire and are consumed

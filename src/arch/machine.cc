@@ -91,15 +91,14 @@ SnapMachine::wireArray()
         clusters_.push_back(
             std::make_unique<Cluster>(ctx_, c, cfg_.mus(c), pe_base));
         Cluster *cl = clusters_.back().get();
-        wire_->bindEndpoint(c, [cl](Deliverable &&d) {
-            cl->applyDeliverable(std::move(d));
-        });
+        wire_->bindEndpoint(
+            c, [cl](Deliverable &d) { cl->applyDeliverable(d); });
         pe_base += 2 + cfg_.mus(c);
     }
     controller_ = std::make_unique<Controller>(ctx_, cfg_.numClusters);
     Controller *ctl = controller_.get();
-    wire_->bindEndpoint(cfg_.numClusters, [ctl](Deliverable &&d) {
-        ctl->applyDeliverable(std::move(d));
+    wire_->bindEndpoint(cfg_.numClusters, [ctl](Deliverable &d) {
+        ctl->applyDeliverable(d);
     });
 
     // The tree covers the whole array, so barrier completion and

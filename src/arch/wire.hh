@@ -67,12 +67,27 @@ enum class WireKind : std::uint8_t
     CollectReady,   ///< collect buffer shipped up to the SCP
 };
 
+/** Canonical apply order at equal ticks: (when, kind, sender,
+ *  senderSeq).  Shared by deliverables and the tuned heap's slots. */
+template <typename A, typename B>
+bool
+canonicalBefore(const A &a, const B &b)
+{
+    if (a.when != b.when)
+        return a.when < b.when;
+    if (a.kind != b.kind)
+        return a.kind < b.kind;
+    if (a.sender != b.sender)
+        return a.sender < b.sender;
+    return a.senderSeq < b.senderSeq;
+}
+
 /** One in-flight cross-endpoint interaction. */
 struct Deliverable
 {
     Tick when = 0;
     WireKind kind = WireKind::IcnMsg;
-    std::uint32_t receiver = 0;   ///< endpoint id
+    std::uint32_t receiver = 0;   ///< endpoint id (unused by a broadcast)
     std::uint32_t sender = 0;     ///< endpoint id
     std::uint64_t senderSeq = 0;  ///< per-sender monotone stamp
 
@@ -87,17 +102,9 @@ struct Deliverable
     std::uint16_t collectSeq = 0; ///< CollectReady instruction seq
     CollectResult collect;        ///< CollectReady payload
 
-    /** Canonical apply order at equal ticks. */
-    bool
-    before(const Deliverable &o) const
+    bool before(const Deliverable &o) const
     {
-        if (when != o.when)
-            return when < o.when;
-        if (kind != o.kind)
-            return kind < o.kind;
-        if (sender != o.sender)
-            return sender < o.sender;
-        return senderSeq < o.senderSeq;
+        return canonicalBefore(*this, o);
     }
 };
 
@@ -107,18 +114,33 @@ struct Deliverable
  * Each endpoint owns a pending min-heap of deliverables plus one
  * persistent wire-class pump event on the machine's queue; the pump
  * fires at the earliest pending tick and applies everything due.
+ *
+ * A broadcast (the SCP's global bus) is staged once for every
+ * endpoint but its sender and lands in one wire-class event, as the
+ * bus lands it in one transaction.  That event applies it to the
+ * receivers in id order, each one first applying its own same-tick
+ * deliverables that sort before it, so every endpoint still sees the
+ * canonical order.  A receiver's pump is never scheduled at a tick a
+ * pending broadcast covers: the broadcast event drains that tick for
+ * it and re-arms the pump.
  */
 class Wire
 {
   public:
-    using Apply = std::function<void(Deliverable &&)>;
+    /** Apply callback.  It may consume the payload of a point-to-point
+     *  deliverable; every receiver of a broadcast is handed the same
+     *  object, so broadcast payloads must be left intact. */
+    using Apply = std::function<void(Deliverable &)>;
 
     Wire(std::uint32_t num_endpoints, EventQueue &eq, Tick lag,
          bool seed_hot_path = false)
         : eq_(eq), lag_(lag), seedHeap_(seed_hot_path),
-          eps_(num_endpoints)
+          eps_(num_endpoints),
+          bcastEv_(std::make_unique<EventFunctionWrapper>(
+              [this] { broadcastFire(); }, "wire.broadcast"))
     {
         snap_assert(lag > 0, "wire lag must be positive");
+        bcastEv_->setWireClass();
     }
 
     /** Minimum deliverable latency (see the file comment). */
@@ -147,6 +169,7 @@ class Wire
         snap_assert(d.receiver < eps_.size(), "wire endpoint %u",
                     d.receiver);
         Endpoint &e = eps_[d.receiver];
+        const std::uint32_t ep = d.receiver;
         const Tick when = d.when;
         if (seedHeap_) {
             e.dheap.push_back(std::move(d));
@@ -156,29 +179,56 @@ class Wire
             s.when = d.when;
             s.senderSeq = d.senderSeq;
             s.sender = d.sender;
-            s.kind = static_cast<std::uint8_t>(d.kind);
+            s.kind = d.kind;
             s.idx = poolPut(e, std::move(d));
             e.heap.push_back(s);
             std::push_heap(e.heap.begin(), e.heap.end(), heapCmp);
         }
-        if (!e.pump->scheduled() || when < e.pumpAt) {
-            eq_.reschedule(e.pump.get(), when);
-            e.pumpAt = when;
+        armPump(ep, when);
+    }
+
+    /**
+     * Stage @p d once for every endpoint but d.sender.  The bus
+     * carries one transaction at a time from one master: broadcasts
+     * are staged in canonical order, all by the same sender.
+     */
+    void
+    broadcast(Deliverable &&d)
+    {
+        snap_assert(d.sender < eps_.size(), "wire endpoint %u",
+                    d.sender);
+        snap_assert(bcasts_.empty() ||
+                        (bcasts_.back().sender == d.sender &&
+                         bcasts_.back().before(d)),
+                    "broadcast staged out of bus order");
+        const Tick when = d.when;
+        // Receivers' pumps already due at this tick hand it over to
+        // the broadcast event.
+        for (std::uint32_t ep = 0; ep < eps_.size(); ++ep) {
+            Endpoint &e = eps_[ep];
+            if (ep != d.sender && e.pump->scheduled() &&
+                e.pumpAt == when)
+                eq_.deschedule(e.pump.get());
         }
+        bcasts_.push_back(std::move(d));
+        if (!bcastEv_->scheduled())
+            eq_.schedule(bcastEv_.get(), when);
     }
 
     /** True when nothing is in flight anywhere. */
     bool
     empty() const
     {
+        if (!bcasts_.empty())
+            return false;
         for (const auto &e : eps_)
             if (!e.heap.empty() || !e.dheap.empty())
                 return false;
         return true;
     }
 
-    /** Drop all in-flight deliverables and descheduled pumps (wedged
-     *  run teardown / repair). */
+    /** Drop all in-flight deliverables and deschedule the pumps and
+     *  the broadcast event (wedged run teardown / repair). */
     void
     clear()
     {
@@ -190,6 +240,9 @@ class Wire
             if (e.pump && e.pump->scheduled())
                 eq_.deschedule(e.pump.get());
         }
+        bcasts_.clear();
+        if (bcastEv_->scheduled())
+            eq_.deschedule(bcastEv_.get());
     }
 
   private:
@@ -206,25 +259,18 @@ class Wire
         std::uint64_t senderSeq;
         std::uint32_t sender;
         std::uint32_t idx;        ///< pool slot holding the payload
-        std::uint8_t kind;
+        WireKind kind;
 
-        bool
-        before(const Slot &o) const
+        bool before(const Slot &o) const
         {
-            if (when != o.when)
-                return when < o.when;
-            if (kind != o.kind)
-                return kind < o.kind;
-            if (sender != o.sender)
-                return sender < o.sender;
-            return senderSeq < o.senderSeq;
+            return canonicalBefore(*this, o);
         }
     };
 
     struct Endpoint
     {
         std::vector<Slot> heap;         ///< min-heap by before()
-        /** Payload slab.  A deque, not a vector: pumpFire applies a
+        /** Payload slab.  A deque, not a vector: a drain applies a
          *  deliverable straight out of its slot, and the receiver's
          *  callback may stage new same-endpoint traffic mid-apply —
          *  deque growth never relocates the slot being applied. */
@@ -266,16 +312,51 @@ class Wire
         return idx;
     }
 
-    void
-    pumpFire(std::uint32_t ep)
+    /** True when a pending broadcast lands on @p ep at @p when. */
+    bool
+    broadcastCovers(std::uint32_t ep, Tick when) const
     {
+        for (const Deliverable &b : bcasts_)
+            if (b.when == when && b.sender != ep)
+                return true;
+        return false;
+    }
+
+    /** Have @p ep's pump fire by @p when, unless a broadcast event
+     *  drains that tick for it. */
+    void
+    armPump(std::uint32_t ep, Tick when)
+    {
+        Endpoint &e = eps_[ep];
+        if (e.pump->scheduled() && e.pumpAt <= when)
+            return;
+        if (broadcastCovers(ep, when))
+            return;
+        eq_.reschedule(e.pump.get(), when);
+        e.pumpAt = when;
+    }
+
+    /**
+     * Apply @p ep's deliverables due at @p now in canonical order —
+     * all of them, or only those sorting before @p bound.
+     */
+    void
+    drainDue(std::uint32_t ep, Tick now, const Deliverable *bound)
+    {
+        Endpoint &e = eps_[ep];
         if (seedHeap_) {
-            pumpFireSeed(ep);
+            while (!e.dheap.empty() && e.dheap.front().when == now &&
+                   (!bound || e.dheap.front().before(*bound))) {
+                std::pop_heap(e.dheap.begin(), e.dheap.end(),
+                              dheapCmp);
+                Deliverable d = std::move(e.dheap.back());
+                e.dheap.pop_back();
+                e.apply(d);
+            }
             return;
         }
-        Endpoint &e = eps_[ep];
-        const Tick now = eq_.curTick();
-        while (!e.heap.empty() && e.heap.front().when == now) {
+        while (!e.heap.empty() && e.heap.front().when == now &&
+               (!bound || canonicalBefore(e.heap.front(), *bound))) {
             std::pop_heap(e.heap.begin(), e.heap.end(), heapCmp);
             const std::uint32_t idx = e.heap.back().idx;
             e.heap.pop_back();
@@ -283,47 +364,70 @@ class Wire
             // Mid-apply sends to this endpoint reuse other free
             // slots or grow the deque; neither touches pool[idx],
             // which is only parked after the apply returns.
-            e.apply(std::move(e.pool[idx]));
+            e.apply(e.pool[idx]);
             e.freeSlots.push_back(idx);
-        }
-        if (!e.heap.empty()) {
-            const Tick next = e.heap.front().when;
-            snap_assert(next > now, "wire pump missed a deliverable");
-            // The apply callbacks may have staged new deliverables
-            // for this endpoint and rescheduled the pump already;
-            // keep the earlier firing.
-            if (!e.pump->scheduled() || next < e.pumpAt) {
-                eq_.reschedule(e.pump.get(), next);
-                e.pumpAt = next;
-            }
         }
     }
 
+    /** After @p ep's tick @p now is drained: arm its pump for the
+     *  next pending deliverable. */
     void
-    pumpFireSeed(std::uint32_t ep)
+    rearm(std::uint32_t ep, Tick now)
     {
-        Endpoint &e = eps_[ep];
+        const Endpoint &e = eps_[ep];
+        if (e.heap.empty() && e.dheap.empty())
+            return;
+        const Tick next =
+            seedHeap_ ? e.dheap.front().when : e.heap.front().when;
+        snap_assert(next > now, "wire pump missed a deliverable");
+        armPump(ep, next);
+    }
+
+    void
+    pumpFire(std::uint32_t ep)
+    {
         const Tick now = eq_.curTick();
-        while (!e.dheap.empty() && e.dheap.front().when == now) {
-            std::pop_heap(e.dheap.begin(), e.dheap.end(), dheapCmp);
-            Deliverable d = std::move(e.dheap.back());
-            e.dheap.pop_back();
-            e.apply(std::move(d));
-        }
-        if (!e.dheap.empty()) {
-            const Tick next = e.dheap.front().when;
-            snap_assert(next > now, "wire pump missed a deliverable");
-            if (!e.pump->scheduled() || next < e.pumpAt) {
-                eq_.reschedule(e.pump.get(), next);
-                e.pumpAt = next;
+        drainDue(ep, now, nullptr);
+        rearm(ep, now);
+    }
+
+    void
+    broadcastFire()
+    {
+        const Tick now = eq_.curTick();
+        snap_assert(!bcasts_.empty() && bcasts_.front().when == now,
+                    "wire broadcast event without a broadcast due");
+        const std::uint32_t master = bcasts_.front().sender;
+        while (!bcasts_.empty() && bcasts_.front().when == now) {
+            // Applied in place: an apply that stages a later
+            // broadcast appends to the deque, which leaves the
+            // front where it is.
+            Deliverable &b = bcasts_.front();
+            for (std::uint32_t ep = 0; ep < eps_.size(); ++ep) {
+                if (ep == master)
+                    continue;
+                drainDue(ep, now, &b);
+                eps_[ep].apply(b);
             }
+            bcasts_.pop_front();
         }
+        for (std::uint32_t ep = 0; ep < eps_.size(); ++ep) {
+            if (ep == master)
+                continue;
+            drainDue(ep, now, nullptr);
+            rearm(ep, now);
+        }
+        if (!bcasts_.empty() && !bcastEv_->scheduled())
+            eq_.schedule(bcastEv_.get(), bcasts_.front().when);
     }
 
     EventQueue &eq_;
     Tick lag_;
     bool seedHeap_;
     std::vector<Endpoint> eps_;
+    /** Staged broadcasts, in bus order. */
+    std::deque<Deliverable> bcasts_;
+    std::unique_ptr<EventFunctionWrapper> bcastEv_;
 };
 
 } // namespace snap

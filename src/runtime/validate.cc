@@ -216,6 +216,12 @@ checkOperands(const Program &prog, const OperandLimits &lim,
             return fail("end node", i.endNode, lim.numNodes);
         if (i.op == Opcode::Propagate && i.rule >= prog.rules().size())
             return fail("rule", i.rule, prog.rules().size());
+        if (i.op == Opcode::Propagate && i.m1 == i.m2) {
+            err = formatString("instruction %zu (%s): marker %u "
+                               "propagates into itself", idx,
+                               opcodeName(i.op), i.m1);
+            return false;
+        }
     }
     return true;
 }

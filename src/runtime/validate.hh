@@ -61,6 +61,9 @@ struct OperandLimits
  * Only the fields an opcode uses are checked.  Relation and colour ids
  * are not: the machine holds them as values and only compares them, so
  * a name the knowledge base lacks matches nothing rather than faulting.
+ * A PROPAGATE whose source and destination marker are the same is
+ * refused too: it races with its own deliveries (validateProgram
+ * flags it as well).
  * A program that passes cannot index past any machine table; one that
  * fails must not run.
  * @return true when every operand is in range; otherwise false, with

@@ -337,7 +337,8 @@ ServeEngine::admit(Request &&req, std::unique_ptr<Pending> &pending,
 
     // Query of death: an operand the machine indexes by (node,
     // marker, rule) must be in range, or the run would abort the
-    // process.  Typed refusal before the request takes a session turn.
+    // process, and a PROPAGATE may not feed its own source marker.
+    // Typed refusal before the request takes a session turn.
     std::string err;
     if (!checkOperands(req.prog, limits_, err)) {
         metrics_.noteInvalid();

@@ -416,7 +416,10 @@ ShardRouter::shardDown(std::uint32_t idx)
             return;
         down_[idx] = true;
     }
-    if (!closing_.load(std::memory_order_acquire)) {
+    // A retired shard was stopped on purpose (drain, shutdownShards);
+    // its reader may see the close before the router closes.
+    if (!closing_.load(std::memory_order_acquire) &&
+        !shard.retired.load(std::memory_order_acquire)) {
         snap_warn("router: shard %u (%s) is down (%s)", idx,
                   shard.ep.toString().c_str(),
                   ioErrorKindName(shard.lastError.load(

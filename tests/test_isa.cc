@@ -505,6 +505,7 @@ TEST(OperandCheck, EveryIndexedOperandIsRangeChecked)
         Instruction::andMarker(0, 200, 1),
         Instruction::notMarker(0, 255),
         Instruction::propagate(0, 1, 1, MarkerFunc::None),
+        Instruction::propagate(3, 3, 0, MarkerFunc::None),
     };
     for (std::size_t k = 0; k < std::size(bad); ++k)
         EXPECT_FALSE(ok(one(bad[k]))) << "case " << k;

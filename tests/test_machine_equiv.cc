@@ -547,5 +547,78 @@ TEST(MachineGolden, BackToBackRunsStayExact)
     }
 }
 
+/**
+ * The fleet benchmark's machine on its 16K-node tree: 256 stateless
+ * queries shaped like fleet-zipf's (SEARCH-NODE, chain PROPAGATE of
+ * at most 3 steps, BARRIER, COLLECT) and 4 session chains of 16 turns
+ * shaped like fleet-sessions'.  The digest pins every answer and
+ * wall time; the event total is a deterministic host-cost count.
+ */
+TEST(MachineGolden, FleetTreeEventCounts)
+{
+    constexpr std::uint32_t kNodes = 16384;
+    const SemanticNetwork net = makeTreeKb(kNodes, 4);
+    const RelationType down = net.relationId("includes");
+    const RelationType up = net.relationId("is-a");
+    MachineConfig cfg = MachineConfig::paperSetup();
+    cfg.perfNetEnabled = false;
+    cfg.maxNodesPerCluster = capacity::maxNodes;
+    SnapMachine machine(cfg);
+    machine.loadKb(net);
+
+    std::uint64_t digest = test::fnvBasis;
+    auto run = [&](const Program &prog) {
+        RunResult r = machine.run(prog);
+        digest = test::fnv(digest, digestResults(r.results));
+        digest = test::fnv(digest, r.wallTicks);
+    };
+    Rng rng(17);
+    auto startNode = [&] {
+        return static_cast<NodeId>(rng.below(kNodes));
+    };
+
+    for (int q = 0; q < 256; ++q) {
+        Program prog;
+        PropRule rule = PropRule::chain(rng.chance(0.5) ? down : up);
+        rule.maxSteps = 3;
+        const RuleId rid = prog.addRule(std::move(rule));
+        prog.append(Instruction::searchNode(startNode(), 0, 0.0f));
+        prog.append(
+            Instruction::propagate(0, 1, rid, MarkerFunc::Count));
+        prog.append(Instruction::barrier());
+        prog.append(Instruction::collectMarker(1));
+        machine.image().resetMarkers();
+        run(prog);
+    }
+
+    constexpr MarkerId mStart = 2, mAnc = 3, mCtx = 4, mShared = 5;
+    for (int s = 0; s < 4; ++s) {
+        machine.image().resetMarkers();
+        for (int t = 0; t < 16; ++t) {
+            Program prog;
+            const RuleId rid = prog.addRule(PropRule::chain(up));
+            prog.append(Instruction::clearMarker(mStart));
+            prog.append(Instruction::clearMarker(mAnc));
+            prog.append(Instruction::clearMarker(mShared));
+            prog.append(Instruction::searchNode(startNode(), mStart,
+                                                0.0f));
+            prog.append(Instruction::propagate(mStart, mAnc, rid,
+                                               MarkerFunc::Count));
+            prog.append(Instruction::barrier());
+            prog.append(Instruction::andMarker(mAnc, mCtx, mShared,
+                                               CombineOp::Sum));
+            prog.append(Instruction::orMarker(mAnc, mCtx, mCtx,
+                                              CombineOp::Min));
+            prog.append(Instruction::collectMarker(mShared));
+            run(prog);
+        }
+    }
+
+    EXPECT_EQ(digest, 0xc416d81a677f619cull);
+    // One wire event per SCP broadcast; with one per cluster
+    // receiver this read 104297.
+    EXPECT_EQ(machine.eventsProcessed(), 75497ull);
+}
+
 } // namespace
 } // namespace snap

@@ -469,6 +469,8 @@ TEST(ServeEngine, OutOfRangeOperandsAreInvalidAndServingContinues)
         withRule(Instruction::collectMarker(128)),
         withRule(Instruction::propagate(0, 1, 7, MarkerFunc::None)),
         withRule(Instruction::markerCreate(0, inc, 400, inc)),
+        // Self-propagation: m1 == m2 races with its own deliveries.
+        withRule(Instruction::propagate(0, 0, 0, MarkerFunc::None)),
     };
     const Program good = countQuery(0, inc, 0.0f);
     SnapMachine direct(smallEngineConfig(1).machine);

@@ -30,6 +30,7 @@
 
 #include "arch/kb_image_io.hh"
 #include "arch/machine.hh"
+#include "common/logging.hh"
 #include "fault/fault_plan.hh"
 #include "fault/fleet_fault.hh"
 #include "runtime/marker_store.hh"
@@ -1228,6 +1229,92 @@ TEST_F(ShardFleetTest, StatelessTrafficSurvivesAShardDeath)
         << "stateless traffic must fail over, not fail";
     EXPECT_FALSE(router.shardHealthy(1));
     EXPECT_TRUE(router.shardHealthy(0));
+}
+
+std::mutex g_downMu;
+std::vector<std::string> g_downLines;
+
+void
+captureDownLines(LogLevel, const std::string &msg)
+{
+    std::lock_guard<std::mutex> lock(g_downMu);
+    if (msg.find("is down") != std::string::npos)
+        g_downLines.push_back(msg);
+}
+
+/** Poll until the router has marked shard @p idx down. */
+bool
+waitShardDown(const ShardRouter &router, std::uint32_t idx)
+{
+    for (int i = 0; i < 1000; ++i) {
+        if (!router.shardHealthy(idx))
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return false;
+}
+
+/** A normal teardown (drain, shutdownShards, destroy) is quiet even
+ *  when the readers see the shards close before the router closes;
+ *  a shard that dies on its own is still reported. */
+TEST_F(ShardFleetTest, RouterTeardownLogsNoShardDown)
+{
+    {
+        std::lock_guard<std::mutex> lock(g_downMu);
+        g_downLines.clear();
+    }
+    struct RestoreHook
+    {
+        Logger::Hook old;
+        ~RestoreHook() { Logger::setHook(old); }
+    } restore{Logger::setHook(&captureDownLines)};
+    RelationType inc = net_.relationId("includes");
+    {
+        TempPath sock0("quiet0.sock"), sock1("quiet1.sock");
+        TestShard s0(image_file_->path(), "unix:" + sock0.path());
+        TestShard s1(image_file_->path(), "unix:" + sock1.path());
+        shard::RouterConfig rcfg;
+        rcfg.shards = {"unix:" + sock0.path(), "unix:" + sock1.path()};
+        ShardRouter router(rcfg);
+        std::string detail;
+        ASSERT_TRUE(router.connect(detail)) << detail;
+        for (NodeId n = 0; n < 4; ++n) {
+            shard::RouterRequest req;
+            req.prog = countQuery(n * 41 % 300, inc);
+            router.submit(std::move(req), [](shard::ResponseFrame &&) {});
+        }
+        router.drain();
+        router.shutdownShards();
+        // Let each reader see its shard close while the router is
+        // still open: the order that used to log a warning.
+        EXPECT_TRUE(waitShardDown(router, 0));
+        EXPECT_TRUE(waitShardDown(router, 1));
+    }
+    {
+        std::lock_guard<std::mutex> lock(g_downMu);
+        EXPECT_TRUE(g_downLines.empty())
+            << "teardown logged: " << g_downLines.front();
+        g_downLines.clear();
+    }
+
+    {
+        TempPath sock0("loud0.sock"), sock1("loud1.sock");
+        TestShard s0(image_file_->path(), "unix:" + sock0.path());
+        auto s1 = std::make_unique<TestShard>(image_file_->path(),
+                                              "unix:" + sock1.path());
+        shard::RouterConfig rcfg;
+        rcfg.shards = {"unix:" + sock0.path(), "unix:" + sock1.path()};
+        ShardRouter router(rcfg);
+        std::string detail;
+        ASSERT_TRUE(router.connect(detail)) << detail;
+        s1.reset();
+        EXPECT_TRUE(waitShardDown(router, 1));
+        router.drain();
+    }
+    std::lock_guard<std::mutex> lock(g_downMu);
+    ASSERT_EQ(g_downLines.size(), 1u);
+    EXPECT_NE(g_downLines[0].find("shard 1"), std::string::npos)
+        << g_downLines[0];
 }
 
 TEST_F(ShardFleetTest, EpochHotSwapUnderLoadGivesZeroWrongAnswers)
